@@ -133,7 +133,11 @@ printf 'not an lmdes image and not hmdl either {' >"$BAD_IMG"
 # answer fails client-side re-scheduling verification, or a reload
 # outcome surprises it (good rejected / corrupt accepted); the daemon's
 # own metrics must then show the serve counters present, nothing left
-# in flight, and zero engine panics.
+# in flight, and zero engine panics.  Leak guard: a second identical
+# client run against the same daemon must not grow its memory-mapping
+# count (each unreaped connection thread keeps a stack and a guard
+# page mapped); a few lines of slack absorb allocator noise, and the
+# check is skipped where /proc is missing.
 SERVE_SOCK="$ART/serve-v1.sock"
 SERVE_METRICS="$ART/serve-v1-metrics.json"
 ./target/release/mdesc --metrics "$SERVE_METRICS" serve --machine k5 \
@@ -142,8 +146,22 @@ SERVE_PID=$!
 wait_for_socket "$SERVE_SOCK"
 ./target/release/mdesc serve-load --socket "$SERVE_SOCK" --machine k5 \
     --requests 2000 --connections 4 \
-    --reload-at "700:$GOOD_IMG" --reload-corrupt-at "1400:$BAD_IMG" \
-    --shutdown
+    --reload-at "700:$GOOD_IMG" --reload-corrupt-at "1400:$BAD_IMG"
+if [ -r "/proc/$SERVE_PID/maps" ]; then
+    MAPS_BEFORE=$(wc -l <"/proc/$SERVE_PID/maps")
+fi
+./target/release/mdesc serve-load --socket "$SERVE_SOCK" --machine k5 \
+    --requests 2000 --connections 4 \
+    --reload-at "700:$GOOD_IMG" --reload-corrupt-at "1400:$BAD_IMG"
+if [ -r "/proc/$SERVE_PID/maps" ]; then
+    MAPS_AFTER=$(wc -l <"/proc/$SERVE_PID/maps")
+    if [ "$MAPS_AFTER" -gt $((MAPS_BEFORE + 4)) ]; then
+        echo "ci: daemon mappings grew from $MAPS_BEFORE to $MAPS_AFTER across an identical run" >&2
+        exit 1
+    fi
+fi
+./target/release/mdesc serve-load --socket "$SERVE_SOCK" --machine k5 \
+    --requests 1 --connections 1 --shutdown
 wait "$SERVE_PID"
 SERVE_PID=""
 expect '"serve/shed"' "$SERVE_METRICS"

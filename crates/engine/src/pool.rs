@@ -1,5 +1,6 @@
 //! The generic worker pool: scoped threads draining a shared job slice
-//! through chunked hand-off with work-stealing.
+//! through chunked hand-off with work-stealing.  A one-worker batch runs
+//! the same worker body inline on the caller's thread, with no spawn.
 //!
 //! The queue is the job slice itself plus one [`AtomicUsize`] chunk
 //! dispenser and one packed [`AtomicU64`] range per worker — there is no
@@ -62,7 +63,7 @@ pub struct PoolOutcome<R> {
     pub assigned: Vec<Option<usize>>,
     /// Per-worker load, indexed by worker id.
     pub workers: Vec<WorkerLoad>,
-    /// Wall-clock nanoseconds from first spawn to last join.
+    /// Wall-clock nanoseconds from the start of the batch to its merge.
     pub elapsed_nanos: u128,
 }
 
@@ -282,63 +283,41 @@ where
     let queue = StealQueue::new(items.len(), threads);
     let started = Instant::now();
 
-    let mut results: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
-    let mut assigned: Vec<Option<usize>> = vec![None; items.len()];
-    let mut workers: Vec<WorkerLoad> = Vec::with_capacity(threads);
-    let mut states: Vec<(usize, S)> = Vec::with_capacity(threads);
-
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|worker| {
-                let queue = &queue;
-                let init = &init;
-                let work = &work;
-                scope.spawn(move || {
-                    let mut load = WorkerLoad {
-                        worker,
-                        ..WorkerLoad::default()
-                    };
-                    let mut state = init(worker);
-                    let mut produced: Vec<(usize, R)> =
-                        Vec::with_capacity(items.len() / threads + 1);
-                    loop {
-                        let wait_started = Instant::now();
-                        let claimed = queue.next_job(worker, &mut load);
-                        load.queue_wait_nanos += wait_started.elapsed().as_nanos();
-                        let Some(index) = claimed else { break };
-                        let busy_started = Instant::now();
-                        let result = catch_unwind(AssertUnwindSafe(|| {
-                            work(&mut state, worker, index, &items[index])
-                        }));
-                        load.busy_nanos += busy_started.elapsed().as_nanos();
-                        match result {
-                            Ok(value) => {
-                                load.jobs += 1;
-                                produced.push((index, value));
-                            }
-                            Err(_) => load.panics += 1,
-                        }
-                        queue.done.fetch_add(1, Ordering::AcqRel);
-                    }
-                    (load, produced, state)
+    // One worker needs no hand-off at all: run it on the caller's thread
+    // and skip the spawn, which costs more than a small batch's work.
+    // Either way `finished` comes back indexed by worker id.
+    let finished = if threads == 1 {
+        vec![worker_loop(0, &queue, items, &init, &work)]
+    } else {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads)
+                .map(|worker| {
+                    let (queue, init, work) = (&queue, &init, &work);
+                    scope.spawn(move || worker_loop(worker, queue, items, init, work))
                 })
-            })
-            .collect();
-        for handle in handles {
+                .collect();
             // Per-job panics are caught inside the worker, so join can
             // only fail if the pool bookkeeping itself panicked; there is
             // no state to salvage in that case.
-            let (load, produced, state) = handle.join().expect("pool worker bookkeeping panicked");
-            for (index, value) in produced {
-                results[index] = Some(value);
-                assigned[index] = Some(load.worker);
-            }
-            states.push((load.worker, state));
-            workers.push(load);
+            handles
+                .into_iter()
+                .map(|handle| handle.join().expect("pool worker bookkeeping panicked"))
+                .collect()
+        })
+    };
+
+    let mut results: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
+    let mut assigned: Vec<Option<usize>> = vec![None; items.len()];
+    let mut workers: Vec<WorkerLoad> = Vec::with_capacity(threads);
+    let mut states: Vec<S> = Vec::with_capacity(threads);
+    for (load, produced, state) in finished {
+        for (index, value) in produced {
+            results[index] = Some(value);
+            assigned[index] = Some(load.worker);
         }
-    });
-    workers.sort_by_key(|load| load.worker);
-    states.sort_by_key(|(worker, _)| *worker);
+        states.push(state);
+        workers.push(load);
+    }
 
     (
         PoolOutcome {
@@ -347,8 +326,51 @@ where
             workers,
             elapsed_nanos: started.elapsed().as_nanos(),
         },
-        states.into_iter().map(|(_, state)| state).collect(),
+        states,
     )
+}
+
+/// One worker's life: build its state, then claim, run and account jobs
+/// until the batch is done.  The same body runs inline (one worker) or
+/// on a scoped thread, so both paths fill results and [`WorkerLoad`]
+/// identically.
+fn worker_loop<T, R, S, I, F>(
+    worker: usize,
+    queue: &StealQueue,
+    items: &[T],
+    init: &I,
+    work: &F,
+) -> (WorkerLoad, Vec<(usize, R)>, S)
+where
+    I: Fn(usize) -> S,
+    F: Fn(&mut S, usize, usize, &T) -> R,
+{
+    let mut load = WorkerLoad {
+        worker,
+        ..WorkerLoad::default()
+    };
+    let mut state = init(worker);
+    let mut produced: Vec<(usize, R)> = Vec::with_capacity(items.len() / queue.ranges.len() + 1);
+    loop {
+        let wait_started = Instant::now();
+        let claimed = queue.next_job(worker, &mut load);
+        load.queue_wait_nanos += wait_started.elapsed().as_nanos();
+        let Some(index) = claimed else { break };
+        let busy_started = Instant::now();
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            work(&mut state, worker, index, &items[index])
+        }));
+        load.busy_nanos += busy_started.elapsed().as_nanos();
+        match result {
+            Ok(value) => {
+                load.jobs += 1;
+                produced.push((index, value));
+            }
+            Err(_) => load.panics += 1,
+        }
+        queue.done.fetch_add(1, Ordering::AcqRel);
+    }
+    (load, produced, state)
 }
 
 #[cfg(test)]
@@ -486,5 +508,39 @@ mod tests {
         assert_eq!(outcome.results.iter().flatten().count(), 1024);
         let steals: u64 = outcome.workers.iter().map(|w| w.steals).sum();
         assert!(steals >= 1, "expected at least one steal, got {steals}");
+    }
+
+    #[test]
+    fn a_single_worker_runs_inline_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let items: Vec<usize> = (0..10).collect();
+        let outcome = run_batch(&items, 1, |_, _, _| std::thread::current().id());
+        for (index, ran_on) in outcome.results.iter().enumerate() {
+            assert_eq!(*ran_on, Some(caller), "job {index}");
+        }
+    }
+
+    #[test]
+    fn inline_and_spawned_batches_account_panics_alike() {
+        let items: Vec<usize> = (0..20).collect();
+        for threads in [1, 2] {
+            let outcome = run_batch(&items, threads, |_, index, item| {
+                assert!(index != 7, "deliberate test panic");
+                std::thread::sleep(std::time::Duration::from_micros(50));
+                *item
+            });
+            assert!(outcome.results[7].is_none(), "{threads} threads");
+            assert!(outcome.assigned[7].is_none(), "{threads} threads");
+            assert_eq!(outcome.results.iter().flatten().count(), 19);
+            assert_eq!(outcome.workers.len(), threads);
+            let jobs: u64 = outcome.workers.iter().map(|w| w.jobs).sum();
+            let panics: u64 = outcome.workers.iter().map(|w| w.panics).sum();
+            assert_eq!((jobs, panics), (19, 1), "{threads} threads");
+            let busy: u128 = outcome.workers.iter().map(|w| w.busy_nanos).sum();
+            assert!(busy >= 19 * 50_000, "{threads} threads: busy {busy} ns");
+            for (slot, load) in outcome.workers.iter().enumerate() {
+                assert_eq!(load.worker, slot);
+            }
+        }
     }
 }

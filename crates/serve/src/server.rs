@@ -3,21 +3,28 @@
 //!
 //! ## Threading model
 //!
-//! One accept thread, a reader *and* a writer thread per connection, and
-//! per shard a fixed pool of request workers draining that shard's
-//! [`AdmissionQueue`].  The reader frames requests, answers the cheap
-//! verbs (`query`, `stats`, `reload`, `shutdown`) through the writer,
-//! and for work verbs (`schedule`, `verify`, `poison`) captures the
-//! target shard's serving image and pushes a job.  The writer serializes
-//! reply lines onto the socket in completion order:
+//! One accept thread, one reader thread per connection, a writer thread
+//! only for connections that pipeline, and per shard a fixed pool of
+//! request workers draining that shard's [`AdmissionQueue`].  The reader
+//! frames requests, answers the cheap verbs (`query`, `stats`, `reload`,
+//! `shutdown`) inline, and for work verbs (`schedule`, `verify`,
+//! `poison`) captures the target shard's serving image and pushes a job:
 //!
+//! * A request without an `id` keeps the v1 contract: the reader blocks
+//!   on the worker's rendezvous reply and writes it to the socket itself
+//!   before reading the next frame — strict serial FIFO, byte-identical
+//!   to v1, with no extra thread hop.
 //! * A request carrying an `id` is *pipelined* — the reader admits it
 //!   and immediately reads the next frame; the worker hands the finished
-//!   reply straight to the writer, so replies may leave out of admission
-//!   order and the client correlates them by `id`.
-//! * A request without an `id` keeps the v1 contract: the reader blocks
-//!   on the worker's rendezvous reply and forwards it before reading the
-//!   next frame — strict serial FIFO, byte-identical to v1.
+//!   reply to the connection's writer thread, so replies may leave out of
+//!   admission order and the client correlates them by `id`.  The first
+//!   such admission starts the writer and hands it the socket; from then
+//!   on every reply line on that connection, v1 or not, goes through the
+//!   writer, so lines never interleave.
+//!
+//! Each accept reaps the connection threads that have finished, so the
+//! daemon holds threads and stacks for live connections only; shutdown
+//! joins the rest.
 //!
 //! ## Sharding
 //!
@@ -292,32 +299,6 @@ enum JobKind {
     Poison,
 }
 
-/// Where a worker delivers a finished reply line.
-enum ReplySink {
-    /// v1 serial path: the connection reader blocks on this rendezvous
-    /// before it reads the next frame.
-    Rendezvous(mpsc::SyncSender<String>),
-    /// v2 pipelined path: the line goes straight to the connection's
-    /// writer thread, in completion order.
-    Writer(mpsc::Sender<String>),
-}
-
-impl ReplySink {
-    /// Delivers the reply.  The connection may have died while the job
-    /// ran; the request still counts as answered, so failures to deliver
-    /// are deliberately ignored.
-    fn send(&self, line: String) {
-        match self {
-            ReplySink::Rendezvous(tx) => {
-                let _ = tx.send(line);
-            }
-            ReplySink::Writer(tx) => {
-                let _ = tx.send(line);
-            }
-        }
-    }
-}
-
 struct Job {
     id: u64,
     kind: JobKind,
@@ -325,7 +306,9 @@ struct Job {
     image: Arc<ServeImage>,
     deadline: Option<Instant>,
     admitted_at: Instant,
-    reply: ReplySink,
+    /// Where the finished reply line goes: the v1 reader's rendezvous,
+    /// or the connection's writer thread for a pipelined request.
+    reply: mpsc::Sender<String>,
 }
 
 enum Listener {
@@ -664,7 +647,19 @@ fn accept_loop(
                 let conn_addr = addr.clone();
                 let handle =
                     std::thread::spawn(move || connection_loop(stream, &shared, &conn_addr));
-                connections.lock().unwrap().push(handle);
+                let mut live = connections.lock().unwrap();
+                // Reap connections that have ended: joining a finished
+                // thread releases its stack, so the list (and the
+                // daemon's memory) tracks live connections only.
+                let mut index = 0;
+                while index < live.len() {
+                    if live[index].is_finished() {
+                        let _ = live.swap_remove(index).join();
+                    } else {
+                        index += 1;
+                    }
+                }
+                live.push(handle);
             }
             Err(_) => {
                 if shared.shutdown.load(Ordering::SeqCst) {
@@ -682,21 +677,67 @@ fn accept_loop(
 const READ_TICK: Duration = Duration::from_millis(100);
 
 fn connection_loop(stream: Stream, shared: &Arc<Shared>, addr: &BindAddr) {
-    // The reader keeps `stream`; the writer thread gets a second handle
-    // on the same socket and owns all outbound bytes, so pipelined
-    // replies can never interleave mid-line with inline ones.
-    let write_half = match stream.try_clone() {
-        Ok(half) => half,
-        Err(_) => return,
+    let mut conn = Connection {
+        stream,
+        writer: None,
+        broken: false,
     };
-    let (out, out_rx) = mpsc::channel::<String>();
-    let writer = std::thread::spawn(move || writer_loop(write_half, out_rx));
-    read_loop(stream, &out, shared, addr);
-    // Dropping the reader's sender lets the writer exit once every
-    // still-running pipelined job has delivered (or dropped) its reply;
-    // joining it keeps the drain inside this connection's lifetime.
-    drop(out);
-    let _ = writer.join();
+    read_loop(&mut conn, shared, addr);
+    conn.close();
+}
+
+/// One connection's socket and outbound side.  The reader writes its
+/// own replies until the first id-tagged admission starts the writer
+/// thread; from then on every line goes through the writer, so
+/// pipelined and inline replies never interleave mid-line.
+struct Connection {
+    stream: Stream,
+    /// The writer thread and its channel, once pipelining has started.
+    writer: Option<(mpsc::Sender<String>, JoinHandle<()>)>,
+    /// A direct write failed: later direct replies are discarded.
+    broken: bool,
+}
+
+impl Connection {
+    /// Sends one reply line, directly or through the writer.  Delivery
+    /// failures are ignored: the peer is gone and the reader will see it.
+    fn send(&mut self, line: String) {
+        match &self.writer {
+            Some((out, _)) => {
+                let _ = out.send(line);
+            }
+            None => {
+                if !self.broken && self.stream.write_all(line.as_bytes()).is_err() {
+                    self.broken = true;
+                }
+            }
+        }
+    }
+
+    /// The channel pipelined jobs deliver through, starting the writer
+    /// thread on first use.  `None` when the socket cannot be cloned or
+    /// the thread cannot be started.
+    fn pipeline(&mut self) -> Option<mpsc::Sender<String>> {
+        if self.writer.is_none() {
+            let write_half = self.stream.try_clone().ok()?;
+            let (out, out_rx) = mpsc::channel::<String>();
+            let writer = std::thread::Builder::new()
+                .spawn(move || writer_loop(write_half, out_rx))
+                .ok()?;
+            self.writer = Some((out, writer));
+        }
+        self.writer.as_ref().map(|(out, _)| out.clone())
+    }
+
+    /// Dropping the reader's sender lets the writer exit once every
+    /// still-running pipelined job has delivered (or dropped) its reply;
+    /// joining it keeps the drain inside this connection's lifetime.
+    fn close(self) {
+        if let Some((out, writer)) = self.writer {
+            drop(out);
+            let _ = writer.join();
+        }
+    }
 }
 
 /// Serializes reply lines onto the socket until every sender (the
@@ -712,13 +753,8 @@ fn writer_loop(mut stream: Stream, replies: mpsc::Receiver<String>) {
     }
 }
 
-fn read_loop(
-    mut stream: Stream,
-    out: &mpsc::Sender<String>,
-    shared: &Arc<Shared>,
-    addr: &BindAddr,
-) {
-    let _ = stream.set_read_timeout(Some(READ_TICK));
+fn read_loop(conn: &mut Connection, shared: &Arc<Shared>, addr: &BindAddr) {
+    let _ = conn.stream.set_read_timeout(Some(READ_TICK));
     let stats = &shared.stats;
     let mut buf: Vec<u8> = Vec::new();
     let mut partial_since: Option<Instant> = None;
@@ -727,7 +763,7 @@ fn read_loop(
         if shared.shutdown.load(Ordering::SeqCst) && buf.is_empty() {
             return;
         }
-        match stream.read(&mut chunk) {
+        match conn.stream.read(&mut chunk) {
             Ok(0) => return, // peer closed
             Ok(n) => {
                 buf.extend_from_slice(&chunk[..n]);
@@ -735,7 +771,7 @@ fn read_loop(
                     let line: Vec<u8> = buf.drain(..=pos).collect();
                     partial_since = None;
                     let text = String::from_utf8_lossy(&line[..line.len() - 1]).into_owned();
-                    if !handle_line(&text, out, shared, addr) {
+                    if !handle_line(&text, conn, shared, addr) {
                         return;
                     }
                 }
@@ -745,7 +781,7 @@ fn read_loop(
                     partial_since.get_or_insert_with(Instant::now);
                     if buf.len() > MAX_FRAME {
                         stats.oversized_frames.fetch_add(1, Ordering::Relaxed);
-                        let _ = out.send(err_response(
+                        conn.send(err_response(
                             0,
                             ErrorCode::Parse,
                             "frame exceeds maximum size; closing connection",
@@ -769,15 +805,10 @@ fn read_loop(
     }
 }
 
-/// Handles one complete request line, sending replies through the
-/// connection's writer.  Returns `false` when the connection must close
-/// (shutdown acknowledged).
-fn handle_line(
-    line: &str,
-    out: &mpsc::Sender<String>,
-    shared: &Arc<Shared>,
-    addr: &BindAddr,
-) -> bool {
+/// Handles one complete request line, sending replies through `conn`.
+/// Returns `false` when the connection must close (shutdown
+/// acknowledged).
+fn handle_line(line: &str, conn: &mut Connection, shared: &Arc<Shared>, addr: &BindAddr) -> bool {
     let stats = &shared.stats;
     let frame = match parse_frame(line) {
         Ok(frame) => frame,
@@ -785,7 +816,7 @@ fn handle_line(
             if wire.code == ErrorCode::Parse {
                 stats.parse_errors.fetch_add(1, Ordering::Relaxed);
             }
-            let _ = out.send(err_response(wire.id, wire.code, &wire.message, None));
+            conn.send(err_response(wire.id, wire.code, &wire.message, None));
             return true;
         }
     };
@@ -795,7 +826,7 @@ fn handle_line(
         None => {
             stats.parse_errors.fetch_add(1, Ordering::Relaxed);
             let name = frame.machine.as_deref().unwrap_or("");
-            let _ = out.send(shared.unknown_machine(id, name));
+            conn.send(shared.unknown_machine(id, name));
             return true;
         }
     };
@@ -879,7 +910,7 @@ fn handle_line(
             }
         },
         Request::Shutdown => {
-            let _ = out.send(ok_response(id, obj(vec![("stopping", Json::Bool(true))])));
+            conn.send(ok_response(id, obj(vec![("stopping", Json::Bool(true))])));
             trigger_shutdown(shared, addr);
             return false;
         }
@@ -889,7 +920,7 @@ fn handle_line(
             "`poison` requires the daemon to run with chaos mode enabled",
             None,
         ),
-        Request::Poison => return admit(frame.id, JobKind::Poison, None, out, shard, shared),
+        Request::Poison => return admit(frame.id, JobKind::Poison, None, conn, shard, shared),
         Request::Schedule {
             params,
             deadline_ms,
@@ -901,7 +932,7 @@ fn handle_line(
                     verify: false,
                 },
                 deadline_ms,
-                out,
+                conn,
                 shard,
                 shared,
             )
@@ -917,27 +948,28 @@ fn handle_line(
                     verify: true,
                 },
                 deadline_ms,
-                out,
+                conn,
                 shard,
                 shared,
             )
         }
     };
-    let _ = out.send(response);
+    conn.send(response);
     true
 }
 
 /// Admits a work request to `shard`: captures its serving image and
 /// pushes the job.  A request with an `id` returns immediately (the
-/// worker routes the reply through the connection writer, possibly out
-/// of admission order); a request without one blocks for the worker's
-/// rendezvous reply, preserving v1 serial semantics.  Sheds instantly
-/// when the shard's queue is full.
+/// worker routes the reply through the connection's writer thread,
+/// started here on first use, possibly out of admission order); a
+/// request without one blocks for the worker's rendezvous reply,
+/// preserving v1 serial semantics.  Sheds instantly when the shard's
+/// queue is full.
 fn admit(
     frame_id: Option<u64>,
     kind: JobKind,
     deadline_ms: Option<u64>,
-    out: &mpsc::Sender<String>,
+    conn: &mut Connection,
     shard: &Shard,
     shared: &Arc<Shared>,
 ) -> bool {
@@ -947,10 +979,21 @@ fn admit(
         .or(shared.config.default_deadline_ms)
         .map(|ms| admitted_at + Duration::from_millis(ms));
     let (reply, wait) = match frame_id {
-        Some(_) => (ReplySink::Writer(out.clone()), None),
+        Some(_) => match conn.pipeline() {
+            Some(out) => (out, None),
+            None => {
+                conn.send(err_response(
+                    id,
+                    ErrorCode::General,
+                    "cannot start this connection's reply writer; send requests without `id`",
+                    None,
+                ));
+                return true;
+            }
+        },
         None => {
-            let (tx, rx) = mpsc::sync_channel(1);
-            (ReplySink::Rendezvous(tx), Some(rx))
+            let (tx, rx) = mpsc::channel();
+            (tx, Some(rx))
         }
     };
     let job = Job {
@@ -973,7 +1016,7 @@ fn admit(
                     // error.
                     Err(_) => err_response(id, ErrorCode::General, "worker pool unavailable", None),
                 };
-                let _ = out.send(line);
+                conn.send(line);
             }
             true
         }
@@ -983,7 +1026,7 @@ fn admit(
             // Hint scales with how much work each waiting slot in *this
             // shard's* queue implies.
             let hint = 5 + (shard.queue.depth() as u64 * 10) / shared.config.workers.max(1) as u64;
-            let _ = out.send(err_response(
+            conn.send(err_response(
                 id,
                 ErrorCode::Overload,
                 "admission queue full; request shed",
@@ -992,7 +1035,7 @@ fn admit(
             true
         }
         Err(PushError::Closed(_)) => {
-            let _ = out.send(err_response(
+            conn.send(err_response(
                 id,
                 ErrorCode::General,
                 "daemon is shutting down",
@@ -1034,7 +1077,7 @@ fn worker_loop(shared: &Arc<Shared>, shard_index: usize) {
         shard.stats.answered.fetch_add(1, Ordering::Relaxed);
         // The connection may have died while we worked; the request
         // still counts as answered.
-        job.reply.send(line);
+        let _ = job.reply.send(line);
     }
 }
 

@@ -1,5 +1,6 @@
 //! Protocol-v2 semantics: pipelined out-of-order completion, duplicate
-//! and missing ids, v1 byte-compatible serial ordering, shard routing,
+//! and missing ids, v1 byte-compatible serial ordering, the hand-off
+//! between serial and pipelined traffic on one connection, shard routing,
 //! and per-shard isolation of shedding, deadlines, and reloads.
 
 mod common;
@@ -144,6 +145,63 @@ fn idless_frames_keep_strict_serial_order() {
     );
     let (cycles, _) = expected_answer(&mdes, tiny());
     assert_eq!(second.result_u64("cycles"), Some(cycles as u64));
+
+    handle.shutdown();
+    handle.join();
+}
+
+#[test]
+fn a_connection_hands_off_from_serial_to_pipelined_and_back() {
+    let config = ServeConfig {
+        workers: 2,
+        ..ServeConfig::default()
+    };
+    let (handle, addr) = start(Machine::K5, "handoff", config);
+
+    // Every frame is written before any reply is read: v1 frames (the
+    // reader writes their replies itself), then id-tagged frames (the
+    // first starts the writer thread), then v1 frames again (now routed
+    // through the writer).  Region counts tell the replies apart.
+    let params = |regions: usize| WorkParams {
+        regions,
+        mean_ops: 8,
+        seed: 0x4A4D,
+        jobs: 1,
+    };
+    let mut conn = TestConn::open(&addr);
+    for regions in [1, 2, 3] {
+        conn.send_line(&v1_line(params(regions)));
+    }
+    for (id, regions) in [(41, 600), (42, 5), (43, 6)] {
+        conn.send_line(&v2_line(id, params(regions), None));
+    }
+    for regions in [7, 8, 9] {
+        conn.send_line(&v1_line(params(regions)));
+    }
+
+    let mut serial = Vec::new();
+    let mut pipelined = Vec::new();
+    for _ in 0..9 {
+        let reply = conn.read_reply().unwrap();
+        assert!(reply.ok, "{:?}", reply.body);
+        let regions = reply.result_u64("regions").unwrap();
+        if reply.id == 0 {
+            serial.push(regions);
+        } else {
+            pipelined.push((reply.id, regions));
+        }
+    }
+    assert_eq!(
+        serial,
+        [1, 2, 3, 7, 8, 9],
+        "v1 replies arrive once each, in request order"
+    );
+    pipelined.sort_unstable();
+    assert_eq!(pipelined, [(41, 600), (42, 5), (43, 6)]);
+
+    // Nothing else is pending: the next round trip gets its own reply.
+    let reply = conn.round_trip(&v1_line(params(4)));
+    assert_eq!((reply.id, reply.result_u64("regions")), (0, Some(4)));
 
     handle.shutdown();
     handle.join();
