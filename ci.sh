@@ -11,7 +11,8 @@
 #                    injected-corrupt reload), the exact-scheduler
 #                    oracle smoke and fleet fuzz (docs/oracle.md), the
 #                    static-analysis lint smoke and defect-recall gate
-#                    (docs/analysis.md), the workspace clippy gate plus
+#                    (docs/analysis.md), the stage-guard verify smoke
+#                    (docs/robustness.md), the workspace clippy gate plus
 #                    the panic-free lang/opt gate, and the perf
 #                    regression gate against the committed BENCH_8.json
 #                    baseline (which now includes the serve/load/*
@@ -245,6 +246,24 @@ LINT_STATUS=$?
 set -e
 test "$LINT_STATUS" -eq 3
 expect '^lint: recall 32/32 planted defect(s) reported$' "$LINT_DEFECTS"
+
+# Guard smoke: the stage-guarded pipeline must accept every bundled
+# description with the differential oracle on, and a usage dropped on
+# purpose after `redundancy` must be caught by a checker probe, blamed on
+# that stage, and exit with the oracle code (4).
+for HMDL in crates/machines/hmdl/*.hmdl; do
+    VERIFY_OUT="$ART/verify-$(basename "$HMDL" .hmdl).txt"
+    ./target/release/mdesc verify "$HMDL" --guard oracle | tee "$VERIFY_OUT"
+    expect 'guard clean (6 stages run in oracle mode' "$VERIFY_OUT"
+done
+VERIFY_INJECT="$ART/verify-inject.txt"
+set +e
+./target/release/mdesc verify crates/machines/hmdl/pa7100.hmdl \
+    --guard oracle --inject redundancy:drop-usage 2>"$VERIFY_INJECT"
+VERIFY_STATUS=$?
+set -e
+test "$VERIFY_STATUS" -eq 4
+expect '\[oracle-probe\] stage `redundancy`' "$VERIFY_INJECT"
 
 # The whole workspace (every target, tests included) must be clean
 # under clippy at -D warnings.

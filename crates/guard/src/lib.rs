@@ -8,9 +8,12 @@
 //! 1. a **structural validator** — the candidate spec must satisfy every
 //!    [`MdesSpec`](mdes_core::spec::MdesSpec) invariant;
 //! 2. a **differential query oracle** — deterministic seeded probe
-//!    sequences and replay blocks run against the pre- and post-stage
-//!    descriptions through the checker and the list scheduler, and every
-//!    observable outcome must match.
+//!    sequences and replay blocks run through the checker and the list
+//!    scheduler, and every observable outcome of the post-stage
+//!    description must match the input's, recorded once per run (see
+//!    [`oracle`] for why that equals checking against the pre-stage
+//!    description).  A stage whose output equals its snapshot is not
+//!    probed at all.
 //!
 //! When a stage's output is rejected, the guard **rolls the stage back**
 //! (the spec snapshot taken before the stage is restored), records a
@@ -65,7 +68,7 @@ use std::str::FromStr;
 
 pub use image::{vet_image, ImageVetting, MAX_CHECK_TIME, MAX_LATENCY};
 pub use inject::{apply_fault, corrupt_image, Fault, FaultKind, ImageFault};
-pub use oracle::{differential_check, IncidentKind, OracleFailure};
+pub use oracle::{IncidentKind, OracleFailure};
 
 /// How much checking a guarded run performs per stage.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Hash)]
@@ -141,15 +144,18 @@ pub struct GuardConfig {
 }
 
 impl Default for GuardConfig {
+    /// The probe and replay engines' own defaults, guard off.
     fn default() -> GuardConfig {
+        let probe = ProbeConfig::default();
+        let replay = ReplayConfig::default();
         GuardConfig {
             mode: GuardMode::Off,
-            seed: 0x4d44_4553, // "MDES"
-            sequences: 48,
-            ops_per_sequence: 32,
-            window: 4,
-            replay_blocks: 8,
-            ops_per_block: 16,
+            seed: probe.seed,
+            sequences: probe.sequences,
+            ops_per_sequence: probe.ops_per_sequence,
+            window: probe.window,
+            replay_blocks: replay.blocks,
+            ops_per_block: replay.ops_per_block,
             inject: Vec::new(),
             analyze: true,
         }
@@ -196,7 +202,7 @@ impl GuardConfig {
             seed: self.seed,
             blocks: self.replay_blocks,
             ops_per_block: self.ops_per_block,
-            dep_percent: 35,
+            ..ReplayConfig::default()
         }
     }
 }
@@ -289,19 +295,48 @@ fn record_incident(tel: &Telemetry, incident: &GuardIncident) {
     tel.event("guard/incident", &fields);
 }
 
-/// Checks one stage's output against its pre-stage snapshot.
-fn check_stage(pre: &MdesSpec, post: &MdesSpec, guard: &GuardConfig) -> Option<OracleFailure> {
+/// Records an input the guard refuses to optimize and returns the report
+/// of the run that never started (there is nothing to roll back to).
+fn refuse(
+    tel: &Telemetry,
+    guard: &GuardConfig,
+    stage: &str,
+    kind: IncidentKind,
+    detail: String,
+) -> GuardedReport {
+    let incident = GuardIncident {
+        stage: stage.to_string(),
+        seed: guard.seed,
+        kind,
+        detail,
+        probe: None,
+    };
+    record_incident(tel, &incident);
+    GuardedReport {
+        incidents: vec![incident],
+        ..GuardedReport::default()
+    }
+}
+
+/// Checks one stage's output against its pre-stage snapshot: structural
+/// validation, then, under [`GuardMode::Oracle`] (`reference` present),
+/// the differential oracle.  An output equal to its snapshot compiles to
+/// the same form and answers every probe the same way, so the oracle
+/// skips it.
+fn check_stage(
+    pre: &MdesSpec,
+    post: &MdesSpec,
+    reference: Option<&oracle::Reference>,
+    tel: &Telemetry,
+) -> Option<OracleFailure> {
     if let Err(err) = post.validate() {
-        return Some(OracleFailure {
-            kind: IncidentKind::Validation,
-            detail: format!("structural validation failed: {err}"),
-            probe: None,
-        });
+        return Some(OracleFailure::validation(format!(
+            "structural validation failed: {err}"
+        )));
     }
-    match guard.mode {
-        GuardMode::Off | GuardMode::Validate => None,
-        GuardMode::Oracle => differential_check(pre, post, guard),
-    }
+    let reference = reference.filter(|_| post != pre)?;
+    tel.counter_add("guard/oracle_checks", 1);
+    reference.check(pre, post)
 }
 
 /// Runs the configured pipeline on `spec` under the guard.
@@ -309,7 +344,8 @@ fn check_stage(pre: &MdesSpec, post: &MdesSpec, guard: &GuardConfig) -> Option<O
 /// With [`GuardMode::Off`] and no injected faults this is exactly
 /// [`mdes_opt::pipeline::optimize_with_telemetry`].  Otherwise each stage
 /// runs against a snapshot boundary: its output is validated (and, in
-/// [`GuardMode::Oracle`], differentially probed) before being accepted;
+/// [`GuardMode::Oracle`], differentially probed against the input's
+/// answers, unless the stage changed nothing) before being accepted;
 /// rejected stages are rolled back and recorded, and the run continues.
 pub fn optimize_guarded(
     spec: &mut MdesSpec,
@@ -324,23 +360,19 @@ pub fn optimize_guarded(
         };
     }
 
-    let mut report = GuardedReport::default();
     let _guard_span = tel.span("guard");
 
     // An invalid *input* is not a stage bug: record it and refuse to run
-    // the pipeline on it at all (there is nothing to roll back to).
+    // the pipeline on it at all.
     if guard.mode != GuardMode::Off {
         if let Err(err) = spec.validate() {
-            let incident = GuardIncident {
-                stage: "input".to_string(),
-                seed: guard.seed,
-                kind: IncidentKind::Validation,
-                detail: format!("input spec failed validation: {err}"),
-                probe: None,
-            };
-            record_incident(tel, &incident);
-            report.incidents.push(incident);
-            return report;
+            return refuse(
+                tel,
+                guard,
+                "input",
+                IncidentKind::Validation,
+                format!("input spec failed validation: {err}"),
+            );
         }
     }
 
@@ -350,19 +382,35 @@ pub fn optimize_guarded(
     if guard.mode != GuardMode::Off && guard.analyze {
         let analysis = mdes_analyze::analyze_spec_with_telemetry(spec, tel);
         if let Some(diag) = analysis.first_fatal() {
-            let incident = GuardIncident {
-                stage: "analyze".to_string(),
-                seed: guard.seed,
-                kind: IncidentKind::Analysis,
-                detail: format!("static analysis found {}: {}", diag.code, diag.message),
-                probe: None,
-            };
-            record_incident(tel, &incident);
-            report.incidents.push(incident);
-            return report;
+            return refuse(
+                tel,
+                guard,
+                "analyze",
+                IncidentKind::Analysis,
+                format!("static analysis found {}: {}", diag.code, diag.message),
+            );
         }
     }
 
+    // The oracle's reference answers, computed once on the input.  The
+    // input just passed validation, which is all compilation checks.
+    let reference = match guard.mode {
+        GuardMode::Oracle => match oracle::Reference::new(spec, guard) {
+            Ok(reference) => Some(reference),
+            Err(err) => {
+                return refuse(
+                    tel,
+                    guard,
+                    "input",
+                    IncidentKind::Validation,
+                    format!("input spec failed to compile: {err}"),
+                )
+            }
+        },
+        GuardMode::Off | GuardMode::Validate => None,
+    };
+
+    let mut report = GuardedReport::default();
     let _pipeline_span = tel.span("pipeline");
     for stage in stage_plan(pipeline) {
         let snapshot = spec.clone();
@@ -379,7 +427,7 @@ pub fn optimize_guarded(
         if guard.mode == GuardMode::Off {
             continue;
         }
-        if let Some(failure) = check_stage(&snapshot, spec, guard) {
+        if let Some(failure) = check_stage(&snapshot, spec, reference.as_ref(), tel) {
             *spec = snapshot;
             report.stages_rolled_back += 1;
             tel.counter_add("guard/rollbacks", 1);
@@ -501,6 +549,20 @@ mod tests {
         );
         assert!(report.clean());
         assert!(report.stages_run > 0);
+    }
+
+    #[test]
+    fn defaults_come_from_the_probe_and_replay_engines() {
+        let config = GuardConfig::default();
+        assert_eq!(config.probe_config(), ProbeConfig::default());
+        assert_eq!(config.replay_config(), ReplayConfig::default());
+        // The values every stored incident's seed and sizes assume.
+        assert_eq!(config.seed, 0x4d44_4553);
+        assert_eq!(
+            (config.sequences, config.ops_per_sequence, config.window),
+            (48, 32, 4)
+        );
+        assert_eq!((config.replay_blocks, config.ops_per_block), (8, 16));
     }
 
     #[test]

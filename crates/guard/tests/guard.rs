@@ -5,10 +5,15 @@
 
 use mdes_core::compile::{CompiledMdes, UsageEncoding};
 use mdes_core::lmdes;
+use mdes_core::probe;
 use mdes_core::spec::MdesSpec;
-use mdes_guard::{optimize_guarded, FaultKind, GuardConfig, GuardMode, IncidentKind};
+use mdes_guard::{
+    apply_fault, optimize_guarded, FaultKind, GuardConfig, GuardIncident, GuardMode, GuardedReport,
+    IncidentKind,
+};
 use mdes_machines::Machine;
-use mdes_opt::pipeline::{optimize, PipelineConfig, StageId};
+use mdes_opt::pipeline::{optimize, run_stage, stage_plan, PipelineConfig, StageId};
+use mdes_sched::replay;
 use mdes_telemetry::Telemetry;
 
 /// A machine with enough structure for every corruption class to have an
@@ -278,4 +283,136 @@ fn incidents_reproduce_from_their_seed() {
     );
     assert_eq!(report.incidents.len(), 1);
     assert_eq!(report.incidents[0].seed, 999);
+}
+
+/// The two-sided oracle check, written out independently of the guard:
+/// compile the pre- *and* post-stage specs, then probe and replay both.
+/// Returns the failing check, its detail and the minimized probe.
+fn two_sided_check(
+    pre: &MdesSpec,
+    post: &MdesSpec,
+    guard: &GuardConfig,
+) -> Option<(IncidentKind, String, Option<String>)> {
+    if let Err(err) = post.validate() {
+        let detail = format!("structural validation failed: {err}");
+        return Some((IncidentKind::Validation, detail, None));
+    }
+    if pre.num_classes() != post.num_classes() {
+        let detail = format!(
+            "stage changed the class count: {} -> {}",
+            pre.num_classes(),
+            post.num_classes()
+        );
+        return Some((IncidentKind::Validation, detail, None));
+    }
+    let a = CompiledMdes::compile(pre, UsageEncoding::BitVector).unwrap();
+    let b = CompiledMdes::compile(post, UsageEncoding::BitVector).unwrap();
+    let sequences = probe::generate_sequences(&guard.probe_config(), pre.num_classes());
+    if let Some(div) = probe::find_divergence(&a, &b, &sequences) {
+        let minimized = probe::minimize_sequence(&a, &b, &sequences[div.sequence]);
+        let detail = format!(
+            "probe sequence {} diverged at op {} ({} op{} after minimization)",
+            div.sequence,
+            div.op_index,
+            minimized.len(),
+            if minimized.len() == 1 { "" } else { "s" }
+        );
+        let witness = probe::render_sequence(&minimized);
+        return Some((IncidentKind::OracleProbe, detail, Some(witness)));
+    }
+    let blocks = replay::replay_blocks(pre.num_classes(), &guard.replay_config());
+    let (block, before, after) = replay::find_schedule_divergence(&a, &b, &blocks)?;
+    let detail = format!("replay block {block} scheduled differently: {before:?} vs {after:?}");
+    Some((IncidentKind::OracleSchedule, detail, None))
+}
+
+/// A guarded run with the two-sided check at every stage boundary and no
+/// unchanged-stage skip: the behaviour the guard must reproduce.
+fn two_sided_run(input: &MdesSpec, guard: &GuardConfig) -> (GuardedReport, MdesSpec) {
+    let pipeline = PipelineConfig::full();
+    let tel = Telemetry::disabled();
+    let mut spec = input.clone();
+    let mut report = GuardedReport::default();
+    for stage in stage_plan(&pipeline) {
+        let snapshot = spec.clone();
+        run_stage(&mut spec, stage, &pipeline, &mut report.pipeline, &tel);
+        report.stages_run += 1;
+        for fault in guard.inject.iter().filter(|f| f.stage == stage) {
+            if let Some(what) = apply_fault(&mut spec, fault.kind) {
+                report.injected.push(format!("{}: {what}", stage.name()));
+            }
+        }
+        if let Some((kind, detail, probe)) = two_sided_check(&snapshot, &spec, guard) {
+            spec = snapshot;
+            report.stages_rolled_back += 1;
+            report.incidents.push(GuardIncident {
+                stage: stage.name().to_string(),
+                seed: guard.seed,
+                kind,
+                detail,
+                probe,
+            });
+        }
+    }
+    (report, spec)
+}
+
+#[test]
+fn reference_once_and_unchanged_skip_match_the_two_sided_oracle() {
+    let mut inputs = vec![("fixture".to_string(), fixture())];
+    inputs.extend(Machine::all().map(|m| (m.name().to_string(), m.spec())));
+    inputs.push(("PentiumPro".to_string(), mdes_machines::pentium_pro()));
+    inputs.push((
+        "SuperSPARC-approx".to_string(),
+        mdes_machines::approximate_superspark(),
+    ));
+    let mut kinds = Vec::new();
+    for (name, input) in &inputs {
+        for stage in StageId::all() {
+            for fault in FaultKind::all() {
+                let guard = GuardConfig::oracle(1234).with_fault(stage, fault);
+                let mut spec = input.clone();
+                let report = optimize_guarded(
+                    &mut spec,
+                    &PipelineConfig::full(),
+                    &guard,
+                    &Telemetry::disabled(),
+                );
+                let (expected, expected_spec) = two_sided_run(input, &guard);
+                let at = format!("{name}, {} after {}", fault, stage.name());
+                assert_eq!(report, expected, "{at}: reports differ");
+                assert_eq!(spec, expected_spec, "{at}: final specs differ");
+                kinds.extend(report.incidents.iter().map(|i| i.kind));
+            }
+        }
+    }
+    // The matrix exercises the failure paths, not only clean runs.
+    for kind in [IncidentKind::Validation, IncidentKind::OracleProbe] {
+        assert!(kinds.contains(&kind), "no {kind} incident in the matrix");
+    }
+}
+
+#[test]
+fn oracle_runs_only_where_a_stage_changed_the_spec() {
+    let cases = [
+        (
+            "SuperSPARC-approx",
+            mdes_machines::approximate_superspark(),
+            1,
+        ),
+        ("Pentium", Machine::Pentium.spec(), 2),
+    ];
+    for (name, mut spec, checks) in cases {
+        let tel = Telemetry::new();
+        let report = optimize_guarded(
+            &mut spec,
+            &PipelineConfig::full(),
+            &GuardConfig::oracle(2024),
+            &tel,
+        );
+        assert!(report.clean(), "{name}: {:?}", report.incidents);
+        let tel = tel.report();
+        assert_eq!(tel.counter("guard/stages"), Some(6), "{name}");
+        assert_eq!(tel.counter("guard/oracle_checks"), Some(checks), "{name}");
+    }
 }
