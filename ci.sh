@@ -4,7 +4,9 @@
 #   ./ci.sh          fast tier-1 gate: release build, dev-profile tests
 #                    (debug assertions on), formatting
 #   ./ci.sh --full   everything above plus the release-profile workspace
-#                    suites, the bench-serve concurrency smokes, the
+#                    suites, the paper-table snapshot (results/tables.txt
+#                    regenerated and compared byte for byte), the
+#                    bench-serve concurrency smokes, the
 #                    daemon serving smokes (a v1 serial client and a
 #                    pipelined multi-shard client, each verified
 #                    closed-loop with a hot reload and an
@@ -87,6 +89,14 @@ test "$FULL" -eq 1 || exit 0
 # --workspace pulls in the member crates' own test targets (the engine
 # suites live in crates/engine/tests/, outside the root package).
 cargo test --release --workspace -q
+
+# Paper-table snapshot: regenerating every table at the committed op
+# count must reproduce results/tables.txt byte for byte.  The workloads
+# are seed-deterministic, so any diff means a change moved a published
+# number (regenerate the file deliberately, not accidentally).
+TABLES="$ART/tables.txt"
+cargo run --release -q -p mdes-bench --bin paper_tables -- all --ops 40000 >"$TABLES"
+cmp "$TABLES" results/tables.txt
 
 # Concurrent-serving smoke: a short bench-serve batch on two workers with
 # a pinned seed must finish clean — every job accounted for, no worker

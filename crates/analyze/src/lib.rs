@@ -53,6 +53,7 @@ use std::fmt::Write as _;
 use mdes_core::spec::{Constraint, MdesSpec};
 use mdes_opt::sortzero::unsorted_options;
 use mdes_opt::timeshift::{shift_constants, Direction};
+use mdes_telemetry::json::render_string;
 use mdes_telemetry::Telemetry;
 
 pub use image::analyze_image;
@@ -713,16 +714,17 @@ where
     let mut out = String::new();
     out.push_str("[\n");
     for (i, (origin, diag)) in entries.iter().enumerate() {
+        out.push_str("  {\"origin\": ");
+        render_string(origin, &mut out);
         let _ = write!(
             out,
-            "  {{\"origin\": \"{}\", \"code\": \"{}\", \"severity\": \"{}\", \"message\": \"{}\"",
-            escape(origin),
-            diag.code,
-            diag.severity,
-            escape(&diag.message)
+            ", \"code\": \"{}\", \"severity\": \"{}\", \"message\": ",
+            diag.code, diag.severity
         );
+        render_string(&diag.message, &mut out);
         if let Some(item) = &diag.item {
-            let _ = write!(out, ", \"item\": \"{}\"", escape(item));
+            out.push_str(", \"item\": ");
+            render_string(item, &mut out);
         }
         if let Some((line, col)) = diag.span {
             let _ = write!(out, ", \"line\": {line}, \"col\": {col}");
@@ -734,22 +736,6 @@ where
         out.push('\n');
     }
     out.push_str("]\n");
-    out
-}
-
-fn escape(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
     out
 }
 

@@ -7,19 +7,10 @@
 
 use mdes_analyze::{analyze_spec, render_text, Severity};
 use mdes_core::spec::MdesSpec;
-use mdes_machines::Machine;
+use mdes_machines::BUNDLED;
 
-fn bundled() -> Vec<(String, MdesSpec)> {
-    let mut machines: Vec<(String, MdesSpec)> = Machine::all()
-        .into_iter()
-        .map(|machine| (machine.name().to_lowercase(), machine.spec()))
-        .collect();
-    machines.push(("pentiumpro".to_string(), mdes_machines::pentium_pro()));
-    machines.push((
-        "superspark_approx".to_string(),
-        mdes_machines::approximate_superspark(),
-    ));
-    machines
+fn bundled() -> [(&'static str, MdesSpec); 6] {
+    BUNDLED.map(|machine| (machine.key, machine.spec()))
 }
 
 #[test]
@@ -34,8 +25,8 @@ fn bundled_machines_have_no_fatal_diagnostics() {
 #[test]
 fn bundled_machine_reports_are_deterministic() {
     for (name, spec) in bundled() {
-        let first = render_text(&name, &analyze_spec(&spec));
-        let second = render_text(&name, &analyze_spec(&spec));
+        let first = render_text(name, &analyze_spec(&spec));
+        let second = render_text(name, &analyze_spec(&spec));
         assert_eq!(first, second, "{name}");
     }
 }

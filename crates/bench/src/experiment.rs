@@ -16,7 +16,7 @@ use mdes_core::{CheckStats, CompiledMdes, UsageEncoding};
 use mdes_machines::Machine;
 use mdes_opt::expand::expand_to_or;
 use mdes_opt::pipeline::{optimize, optimize_with_telemetry, PipelineConfig};
-use mdes_sched::ListScheduler;
+use mdes_sched::{cycle_hash, ListScheduler, Schedule};
 use mdes_telemetry::Telemetry;
 use mdes_workload::{generate, Workload, WorkloadConfig};
 
@@ -157,17 +157,16 @@ pub fn run_on_jobs(
         "{} worker panic(s) while regenerating tables",
         outcome.worker_panics()
     );
-    let mut hash: u64 = 0xcbf29ce484222325;
-    for schedule in outcome.schedules.iter().flatten() {
-        for cycle in schedule.cycles() {
-            hash ^= cycle as u32 as u64;
-            hash = hash.wrapping_mul(0x100000001b3);
-        }
-    }
     RunResult {
+        schedule_hash: cycle_hash(
+            outcome
+                .schedules
+                .iter()
+                .flatten()
+                .flat_map(Schedule::cycles),
+        ),
         stats: outcome.stats,
         memory: measure(&compiled),
-        schedule_hash: hash,
     }
 }
 
@@ -204,17 +203,15 @@ pub fn run_with_telemetry(
         .expect("experiment spec must compile");
     let scheduler = ListScheduler::new(&compiled);
     let mut stats = CheckStats::new();
-    let mut hash: u64 = 0xcbf29ce484222325;
-    {
+    let hash = {
         let _sched_span = tel.span("sched/list");
-        for block in &workload.blocks {
-            let schedule = scheduler.schedule(block, &mut stats);
-            for cycle in schedule.cycles() {
-                hash ^= cycle as u32 as u64;
-                hash = hash.wrapping_mul(0x100000001b3);
-            }
-        }
-    }
+        cycle_hash(
+            workload
+                .blocks
+                .iter()
+                .flat_map(|block| scheduler.schedule(block, &mut stats).cycles()),
+        )
+    };
     stats.publish(tel, &format!("{}/sched/list", machine.name()));
     RunResult {
         stats,

@@ -650,7 +650,7 @@ pub fn ablation_accuracy(config: &TableConfig) -> String {
 
     let machine = Machine::SuperSparc;
     let accurate_spec = machine.spec();
-    let approx_spec = mdes_machines::approximate_superspark();
+    let approx_spec = mdes_machines::SUPERSPARC_APPROX.spec();
     let accurate = CompiledMdes::compile(&accurate_spec, UsageEncoding::BitVector).unwrap();
     let approx = CompiledMdes::compile(&approx_spec, UsageEncoding::BitVector).unwrap();
     let workload = generate(
@@ -905,7 +905,7 @@ pub fn ablation_ilp(config: &TableConfig) -> String {
 pub fn ablation_nextgen(config: &TableConfig) -> String {
     use mdes_workload::{generate_uniform, uniform_config};
 
-    let authored = mdes_machines::pentium_pro();
+    let authored = mdes_machines::PENTIUM_PRO.spec();
     let workload = generate_uniform(&authored, &uniform_config(config.total_ops / 2));
 
     let run_with = |spec: &mdes_core::MdesSpec, encoding: UsageEncoding| {

@@ -42,6 +42,7 @@ use std::process::ExitCode;
 use mdes_core::size::measure;
 use mdes_core::{lmdes, CompiledMdes, MdesSpec, UsageEncoding};
 use mdes_guard::{optimize_guarded, Fault, FaultKind, GuardConfig, GuardMode, GuardedReport};
+use mdes_machines::{Machine, BUNDLED};
 use mdes_opt::pipeline::{optimize, optimize_with_telemetry, PipelineConfig, StageId};
 use mdes_opt::timeshift::Direction;
 use mdes_serve::{BenchFlags, BindAddr, ImageStore, LoadOptions, ReloadEvent, ServeConfig};
@@ -844,27 +845,15 @@ fn reload_error(err: mdes_serve::ReloadError) -> CliError {
     }
 }
 
-/// Resolves one machine name (case-insensitive) to a bundled machine.
-fn bundled_machine(name: &str) -> CliResult<mdes_machines::Machine> {
-    mdes_machines::Machine::all()
-        .into_iter()
-        .find(|m| m.name().eq_ignore_ascii_case(name))
-        .ok_or_else(|| {
-            CliError::from(format!(
-                "unknown machine `{name}` (PA7100, Pentium, SuperSPARC, K5)"
-            ))
-        })
-}
-
 /// Parses a `--machine`/`--machines` operand: a comma-separated list of
 /// bundled machine names, or `all` for every bundled machine.
-fn machine_list(spec: &str) -> CliResult<Vec<mdes_machines::Machine>> {
+fn machine_list(spec: &str) -> CliResult<Vec<Machine>> {
     if spec.eq_ignore_ascii_case("all") {
-        return Ok(mdes_machines::Machine::all().into_iter().collect());
+        return Ok(Machine::all().into_iter().collect());
     }
     let mut machines = Vec::new();
     for name in spec.split(',').filter(|n| !n.is_empty()) {
-        let machine = bundled_machine(name)?;
+        let machine = Machine::from_name(name)?;
         if machines.contains(&machine) {
             return Err(CliError::from(format!("machine `{name}` listed twice")));
         }
@@ -881,7 +870,7 @@ fn machine_list(spec: &str) -> CliResult<Vec<mdes_machines::Machine>> {
 /// `--machine all` boots one shard per name) or a vetted description
 /// file; see `docs/serve.md` for the protocol.
 fn serve_cmd(args: &[String], tel: &Telemetry) -> CliResult {
-    let mut machines: Vec<mdes_machines::Machine> = Vec::new();
+    let mut machines: Vec<Machine> = Vec::new();
     let mut input: Option<&str> = None;
     let mut addr: Option<BindAddr> = None;
     let mut config = ServeConfig::default();
@@ -943,7 +932,7 @@ fn serve_cmd(args: &[String], tel: &Telemetry) -> CliResult {
         }
         (None, _) => {
             if machines.is_empty() {
-                machines.push(mdes_machines::Machine::Pa7100);
+                machines.push(Machine::Pa7100);
             }
             machines
                 .iter()
@@ -1028,7 +1017,7 @@ fn parse_reload_event(text: &str, expect_rejection: bool) -> CliResult<ReloadEve
     })?;
     let (at, machine) = match at.split_once('@') {
         Some((index, shard)) if !shard.is_empty() => {
-            (index, Some(bundled_machine(shard)?.name().to_string()))
+            (index, Some(Machine::from_name(shard)?.name().to_string()))
         }
         Some(_) => return Err(CliError::from(format!("empty machine in `{text}`"))),
         None => (at, None),
@@ -1056,7 +1045,7 @@ fn serve_load_cmd(args: &[String], tel: &Telemetry) -> CliResult {
     let mut requests = 256usize;
     let mut connections = 2usize;
     let mut pipeline = 1usize;
-    let mut spray: Vec<mdes_machines::Machine> = Vec::new();
+    let mut spray: Vec<Machine> = Vec::new();
     let mut deadline_ms: Option<u64> = None;
     let mut max_retries = 16usize;
     let mut verify = true;
@@ -1243,22 +1232,6 @@ fn perf_cmd(args: &[String], tel: &Telemetry) -> CliResult {
     }
 }
 
-/// Every bundled machine, keyed by the bench-name suffixes shared with
-/// `mdesc perf` and `docs/performance.md`: the four `Machine` variants
-/// plus the two HMDL-only reconstructions.
-fn oracle_machines() -> Vec<(String, MdesSpec)> {
-    let mut machines: Vec<(String, MdesSpec)> = mdes_machines::Machine::all()
-        .into_iter()
-        .map(|m| (m.name().to_lowercase(), m.spec()))
-        .collect();
-    machines.push(("pentiumpro".to_string(), mdes_machines::pentium_pro()));
-    machines.push((
-        "superspark_approx".to_string(),
-        mdes_machines::approximate_superspark(),
-    ));
-    machines
-}
-
 /// Runs the exact branch-and-bound scheduler as a differential oracle
 /// against the production list and modulo schedulers.
 ///
@@ -1348,12 +1321,14 @@ fn oracle_cmd(args: &[String], tel: &Telemetry) -> CliResult {
     let mut total = mdes_oracle::GapReport::default();
     let mut stats = mdes_core::CheckStats::new();
     let mut machines_run = 0usize;
-    for (name, spec) in oracle_machines() {
+    for machine in &BUNDLED {
+        let name = machine.key;
         if let Some(filter) = &machine_filter {
             if !name.eq_ignore_ascii_case(filter) {
                 continue;
             }
         }
+        let spec = machine.spec();
         let compiled = CompiledMdes::compile(&spec, UsageEncoding::BitVector)
             .map_err(|e| CliError::validation(e.to_string()))?;
         let config = mdes_workload::RegionConfig::small(regions).with_seed(seed);
@@ -1392,11 +1367,10 @@ fn oracle_cmd(args: &[String], tel: &Telemetry) -> CliResult {
         machines_run += 1;
     }
     if machines_run == 0 {
-        let names: Vec<String> = oracle_machines().into_iter().map(|(n, _)| n).collect();
         return Err(CliError::from(format!(
             "unknown machine `{}` (one of: {})",
             machine_filter.unwrap_or_default(),
-            names.join(", ")
+            BUNDLED.map(|m| m.key).join(", ")
         )));
     }
     total.publish(tel);
@@ -1630,21 +1604,21 @@ fn lint_cmd(args: &[String], tel: &Telemetry) -> CliResult {
     }
     match machine {
         Some("all") => {
-            for (name, spec) in oracle_machines() {
-                reports.push((name, mdes_analyze::analyze_spec_with_telemetry(&spec, tel)));
+            for machine in &BUNDLED {
+                let analysis = mdes_analyze::analyze_spec_with_telemetry(&machine.spec(), tel);
+                reports.push((machine.key.to_string(), analysis));
             }
         }
         Some(name) => {
-            let found = oracle_machines().into_iter().find(|(n, _)| n == name);
-            let Some((n, spec)) = found else {
-                let known: Vec<String> = oracle_machines().into_iter().map(|(n, _)| n).collect();
+            let Some(machine) = BUNDLED.iter().find(|m| m.key == name) else {
                 return Err(format!(
                     "unknown machine `{name}`; try one of {} or `all`",
-                    known.join(", ")
+                    BUNDLED.map(|m| m.key).join(", ")
                 )
                 .into());
             };
-            reports.push((n, mdes_analyze::analyze_spec_with_telemetry(&spec, tel)));
+            let analysis = mdes_analyze::analyze_spec_with_telemetry(&machine.spec(), tel);
+            reports.push((machine.key.to_string(), analysis));
         }
         None => {}
     }
@@ -1787,10 +1761,6 @@ fn chart_cmd(args: &[String]) -> CliResult {
 
 fn bundled_cmd(args: &[String]) -> CliResult {
     let name = args.first().ok_or("bundled needs a machine name")?;
-    let machine = mdes_machines::Machine::all()
-        .into_iter()
-        .find(|m| m.name().eq_ignore_ascii_case(name))
-        .ok_or_else(|| format!("unknown machine `{name}` (PA7100, Pentium, SuperSPARC, K5)"))?;
-    print!("{}", machine.source());
+    print!("{}", Machine::from_name(name)?.source());
     Ok(())
 }

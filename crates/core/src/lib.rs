@@ -19,6 +19,8 @@
 //! * the [`probe`] module — a deterministic, seeded query-sequence engine
 //!   used by the pipeline guard to differentially compare two
 //!   descriptions' observable behaviour;
+//! * [`rng::Pcg32`], the seeded generator behind every workload, probe
+//!   and replay stream;
 //! * the [`size`] memory model reproducing the paper's byte accounting;
 //! * [`pretty`] renderers for reservation tables and constraint trees.
 //!
@@ -64,6 +66,7 @@ pub mod lmdes;
 pub mod pretty;
 pub mod probe;
 pub mod resource;
+pub mod rng;
 pub mod rumap;
 pub mod size;
 pub mod spec;
@@ -73,6 +76,7 @@ pub mod usage;
 pub use compile::{Checker, Checks, Choice, CompiledMdes, OptionHints, UsageEncoding};
 pub use error::MdesError;
 pub use resource::{ResourceId, ResourcePool};
+pub use rng::Pcg32;
 pub use rumap::RuMap;
 pub use spec::{
     AndOrTree, AndOrTreeId, ClassId, Constraint, Latency, MdesSpec, OpClass, OpFlags, OptionId,

@@ -10,25 +10,13 @@ use mdes_analyze::analyze_image;
 use mdes_core::compile::{CompiledMdes, UsageEncoding};
 use mdes_core::lmdes;
 use mdes_guard::{corrupt_image, ImageFault};
-use mdes_machines::Machine;
+use mdes_machines::BUNDLED;
 
-fn bundled_images() -> Vec<(String, Vec<u8>)> {
-    let mut specs: Vec<(String, mdes_core::spec::MdesSpec)> = Machine::all()
-        .into_iter()
-        .map(|m| (m.name().to_lowercase(), m.spec()))
-        .collect();
-    specs.push(("pentiumpro".into(), mdes_machines::pentium_pro()));
-    specs.push((
-        "superspark_approx".into(),
-        mdes_machines::approximate_superspark(),
-    ));
-    specs
-        .into_iter()
-        .map(|(name, spec)| {
-            let mdes = CompiledMdes::compile(&spec, UsageEncoding::BitVector).unwrap();
-            (name, lmdes::write(&mdes))
-        })
-        .collect()
+fn bundled_images() -> [(&'static str, Vec<u8>); 6] {
+    BUNDLED.map(|machine| {
+        let mdes = CompiledMdes::compile(&machine.spec(), UsageEncoding::BitVector).unwrap();
+        (machine.key, lmdes::write(&mdes))
+    })
 }
 
 /// fault class -> the one diagnostic code it must always produce.

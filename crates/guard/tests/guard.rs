@@ -11,7 +11,7 @@ use mdes_guard::{
     apply_fault, optimize_guarded, FaultKind, GuardConfig, GuardIncident, GuardMode, GuardedReport,
     IncidentKind,
 };
-use mdes_machines::Machine;
+use mdes_machines::{Machine, BUNDLED, SUPERSPARC_APPROX};
 use mdes_opt::pipeline::{optimize, run_stage, stage_plan, PipelineConfig, StageId};
 use mdes_sched::replay;
 use mdes_telemetry::Telemetry;
@@ -360,12 +360,7 @@ fn two_sided_run(input: &MdesSpec, guard: &GuardConfig) -> (GuardedReport, MdesS
 #[test]
 fn reference_once_and_unchanged_skip_match_the_two_sided_oracle() {
     let mut inputs = vec![("fixture".to_string(), fixture())];
-    inputs.extend(Machine::all().map(|m| (m.name().to_string(), m.spec())));
-    inputs.push(("PentiumPro".to_string(), mdes_machines::pentium_pro()));
-    inputs.push((
-        "SuperSPARC-approx".to_string(),
-        mdes_machines::approximate_superspark(),
-    ));
+    inputs.extend(BUNDLED.map(|m| (m.name.to_string(), m.spec())));
     let mut kinds = Vec::new();
     for (name, input) in &inputs {
         for stage in StageId::all() {
@@ -395,11 +390,7 @@ fn reference_once_and_unchanged_skip_match_the_two_sided_oracle() {
 #[test]
 fn oracle_runs_only_where_a_stage_changed_the_spec() {
     let cases = [
-        (
-            "SuperSPARC-approx",
-            mdes_machines::approximate_superspark(),
-            1,
-        ),
+        ("SuperSPARC-approx", SUPERSPARC_APPROX.spec(), 1),
         ("Pentium", Machine::Pentium.spec(), 2),
     ];
     for (name, mut spec, checks) in cases {

@@ -1,5 +1,6 @@
 //! Detailed HMDL descriptions of the four processors evaluated by the
-//! paper: HP PA7100, Intel Pentium, Sun SuperSPARC and AMD K5.
+//! paper: HP PA7100, Intel Pentium, Sun SuperSPARC and AMD K5, plus two
+//! HMDL-only ones.  [`BUNDLED`] is the one registry of all six.
 //!
 //! Each description reconstructs the execution constraints the paper
 //! itself documents (Sections 2 and 4 plus Tables 1–4), with exactly the
@@ -24,6 +25,88 @@
 #![warn(missing_docs)]
 
 use mdes_core::MdesSpec;
+
+/// One bundled HMDL description.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct Bundled {
+    /// Lower-case key: the per-machine suffix of bench names and the
+    /// origin of lint reports (`checker/scalar/k5`).
+    pub key: &'static str,
+    /// Display name, as the paper prints it for its four processors.
+    pub name: &'static str,
+    /// The HMDL source text.
+    pub source: &'static str,
+}
+
+impl Bundled {
+    /// Compiles the HMDL description into a validated spec.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the bundled description fails to compile — a build-time
+    /// invariant covered by tests.
+    pub fn spec(&self) -> MdesSpec {
+        match mdes_lang::compile(self.source) {
+            Ok(spec) => spec,
+            Err(err) => panic!(
+                "bundled {} description failed to compile:\n{}",
+                self.name,
+                err.render(self.source)
+            ),
+        }
+    }
+}
+
+/// Every bundled description: the paper's four processors in [`Machine`]
+/// order, then the two HMDL-only ones ([`PENTIUM_PRO`] and
+/// [`SUPERSPARC_APPROX`]).
+pub static BUNDLED: [Bundled; 6] = [
+    Bundled {
+        key: "pa7100",
+        name: "PA7100",
+        source: include_str!("../hmdl/pa7100.hmdl"),
+    },
+    Bundled {
+        key: "pentium",
+        name: "Pentium",
+        source: include_str!("../hmdl/pentium.hmdl"),
+    },
+    Bundled {
+        key: "supersparc",
+        name: "SuperSPARC",
+        source: include_str!("../hmdl/superspark.hmdl"),
+    },
+    Bundled {
+        key: "k5",
+        name: "K5",
+        source: include_str!("../hmdl/k5.hmdl"),
+    },
+    PENTIUM_PRO,
+    SUPERSPARC_APPROX,
+];
+
+/// The speculative Pentium Pro (P6) demonstrator — the "latest
+/// generation" machine the paper's Section 9 predicts will need
+/// AND/OR-trees even more than the K5.  Not part of the paper's
+/// evaluated set; used by the next-generation ablation.
+pub const PENTIUM_PRO: Bundled = Bundled {
+    key: "pentiumpro",
+    name: "PentiumPro",
+    source: include_str!("../hmdl/pentiumpro.hmdl"),
+};
+
+/// The *approximate* SuperSPARC description — the "function unit mix and
+/// operation latencies" model the paper's introduction attributes to
+/// portable compilers.  Class names, order, latencies, flags and opcodes
+/// match [`Machine::SuperSparc`] exactly, so the two descriptions are
+/// interchangeable to a scheduler; only the execution constraints differ
+/// (no register ports, no branch-decoder restriction, no cascade-unit
+/// restriction).
+pub const SUPERSPARC_APPROX: Bundled = Bundled {
+    key: "superspark_approx",
+    name: "SuperSPARC-approx",
+    source: include_str!("../hmdl/superspark_approx.hmdl"),
+};
 
 /// The four processors of the paper's evaluation.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -50,24 +133,36 @@ impl Machine {
         ]
     }
 
+    /// Resolves a display name, ignoring ASCII case.
+    ///
+    /// # Errors
+    ///
+    /// Names the four machines when `name` is none of them.
+    pub fn from_name(name: &str) -> Result<Machine, String> {
+        Machine::all()
+            .into_iter()
+            .find(|m| m.name().eq_ignore_ascii_case(name))
+            .ok_or_else(|| format!("unknown machine `{name}` (PA7100, Pentium, SuperSPARC, K5)"))
+    }
+
+    /// This machine's entry in [`BUNDLED`].
+    fn bundled(self) -> &'static Bundled {
+        &BUNDLED[self as usize]
+    }
+
     /// Display name as the paper prints it.
     pub fn name(&self) -> &'static str {
-        match self {
-            Machine::Pa7100 => "PA7100",
-            Machine::Pentium => "Pentium",
-            Machine::SuperSparc => "SuperSPARC",
-            Machine::K5 => "K5",
-        }
+        self.bundled().name
+    }
+
+    /// Lower-case registry key (see [`Bundled::key`]).
+    pub fn key(&self) -> &'static str {
+        self.bundled().key
     }
 
     /// The HMDL source text of this machine's description.
     pub fn source(&self) -> &'static str {
-        match self {
-            Machine::Pa7100 => include_str!("../hmdl/pa7100.hmdl"),
-            Machine::Pentium => include_str!("../hmdl/pentium.hmdl"),
-            Machine::SuperSparc => include_str!("../hmdl/superspark.hmdl"),
-            Machine::K5 => include_str!("../hmdl/k5.hmdl"),
-        }
+        self.bundled().source
     }
 
     /// Compiles the HMDL description into a validated spec.
@@ -77,14 +172,7 @@ impl Machine {
     /// Panics if the bundled description fails to compile — a build-time
     /// invariant covered by tests.
     pub fn spec(&self) -> MdesSpec {
-        match mdes_lang::compile(self.source()) {
-            Ok(spec) => spec,
-            Err(err) => panic!(
-                "bundled {} description failed to compile:\n{}",
-                self.name(),
-                err.render(self.source())
-            ),
-        }
+        self.bundled().spec()
     }
 
     /// True for the machines the paper calls "complex" / "flexible"
@@ -94,55 +182,14 @@ impl Machine {
     }
 }
 
-/// HMDL source of the speculative Pentium Pro (P6) demonstrator — the
-/// "latest generation" machine the paper's Section 9 predicts will need
-/// AND/OR-trees even more than the K5.  Not part of the paper's
-/// evaluated set; used by the next-generation ablation.
+/// HMDL source of [`PENTIUM_PRO`].
 pub fn pentium_pro_source() -> &'static str {
-    include_str!("../hmdl/pentiumpro.hmdl")
+    PENTIUM_PRO.source
 }
 
-/// Compiles the Pentium Pro demonstrator description.
-///
-/// # Panics
-///
-/// Panics if the bundled description fails to compile (a build-time
-/// invariant covered by tests).
-pub fn pentium_pro() -> MdesSpec {
-    match mdes_lang::compile(pentium_pro_source()) {
-        Ok(spec) => spec,
-        Err(err) => panic!(
-            "Pentium Pro description failed to compile:\n{}",
-            err.render(pentium_pro_source())
-        ),
-    }
-}
-
-/// HMDL source of the *approximate* SuperSPARC description — the
-/// "function unit mix and operation latencies" model the paper's
-/// introduction attributes to portable compilers.  Class names, order,
-/// latencies, flags and opcodes match [`Machine::SuperSparc`] exactly,
-/// so the two descriptions are interchangeable to a scheduler; only the
-/// execution constraints differ (no register ports, no branch-decoder
-/// restriction, no cascade-unit restriction).
+/// HMDL source of [`SUPERSPARC_APPROX`].
 pub fn approximate_superspark_source() -> &'static str {
-    include_str!("../hmdl/superspark_approx.hmdl")
-}
-
-/// Compiles the approximate SuperSPARC description.
-///
-/// # Panics
-///
-/// Panics if the bundled description fails to compile (a build-time
-/// invariant covered by tests).
-pub fn approximate_superspark() -> MdesSpec {
-    match mdes_lang::compile(approximate_superspark_source()) {
-        Ok(spec) => spec,
-        Err(err) => panic!(
-            "approximate SuperSPARC description failed to compile:\n{}",
-            err.render(approximate_superspark_source())
-        ),
-    }
+    SUPERSPARC_APPROX.source
 }
 
 #[cfg(test)]
@@ -346,7 +393,7 @@ mod tests {
     #[test]
     fn approximate_superspark_is_class_compatible_with_the_accurate_one() {
         let accurate = Machine::SuperSparc.spec();
-        let approx = approximate_superspark();
+        let approx = SUPERSPARC_APPROX.spec();
         assert_eq!(accurate.num_classes(), approx.num_classes());
         for id in accurate.class_ids() {
             let a = accurate.class(id);
@@ -405,7 +452,7 @@ mod tests {
 
     #[test]
     fn pentium_pro_demonstrator_compiles_with_expected_counts() {
-        let spec = pentium_pro();
+        let spec = PENTIUM_PRO.spec();
         assert!(spec.validate().is_ok());
         let count = |name: &str| {
             let id = spec.class_by_name(name).unwrap();
@@ -427,5 +474,18 @@ mod tests {
         assert!(Machine::K5.is_flexible());
         assert!(!Machine::Pentium.is_flexible());
         assert_eq!(Machine::all().len(), 4);
+        assert_eq!(Machine::from_name("superSPARC"), Ok(Machine::SuperSparc));
+        assert_eq!(
+            Machine::from_name("p6").unwrap_err(),
+            "unknown machine `p6` (PA7100, Pentium, SuperSPARC, K5)"
+        );
+    }
+
+    #[test]
+    fn machines_index_the_registry_in_order() {
+        for (index, machine) in Machine::all().into_iter().enumerate() {
+            assert_eq!(machine.bundled(), &BUNDLED[index]);
+            assert_eq!(machine.key(), machine.name().to_lowercase());
+        }
     }
 }

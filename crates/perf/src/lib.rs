@@ -5,7 +5,7 @@
 //! loop directly and makes the measurement reproducible enough to gate a
 //! CI pipeline on:
 //!
-//! * every workload is generated from a fixed seed ([`mdes_workload::Pcg32`]
+//! * every workload is generated from a fixed seed ([`mdes_core::Pcg32`]
 //!   streams), so the *work done* by a bench — resource checks issued,
 //!   operations scheduled — is a deterministic integer that must match
 //!   the committed baseline exactly;

@@ -103,9 +103,8 @@ impl<'a> PointerChasedChecker<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mdes_core::{Checker, UsageEncoding};
+    use mdes_core::{Checker, Pcg32, UsageEncoding};
     use mdes_machines::Machine;
-    use mdes_workload::Pcg32;
 
     #[test]
     fn pointer_chased_agrees_with_the_arena_checker() {

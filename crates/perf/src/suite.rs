@@ -10,13 +10,13 @@ use std::sync::Arc;
 
 use mdes_core::{
     CheckStats, Checker, ClassId, CompiledMdes, Constraint, Latency, MdesSpec, OpFlags,
-    OptionHints, OrTree, ResourceId, ResourceUsage, RuMap, TableOption, UsageEncoding,
+    OptionHints, OrTree, Pcg32, ResourceId, ResourceUsage, RuMap, TableOption, UsageEncoding,
 };
 use mdes_engine::Engine;
-use mdes_machines::Machine;
+use mdes_machines::{Machine, BUNDLED};
 use mdes_oracle::{differential_gap, GapReport, OracleScheduler};
 use mdes_sched::ListScheduler;
-use mdes_workload::{generate_regions, Pcg32, RegionConfig};
+use mdes_workload::{generate_regions, RegionConfig};
 
 use crate::reference::PointerChasedChecker;
 use crate::{measure, BenchConfig, Sample};
@@ -30,23 +30,13 @@ pub(crate) const BATCH_W1_BENCH: &str = "engine/batch/w1";
 /// The parallel side of the derived `batch_scaling` figure.
 pub(crate) const BATCH_W4_BENCH: &str = "engine/batch/w4";
 
-/// Machines the per-machine benches cover: every bundled description —
-/// the four `Machine` variants plus the two HMDL-only machines — so the
-/// checker replay and scheduling benches see the full range of MDES
-/// shapes (rigid early machines through flexible late ones).  Names are
-/// the bench-name suffixes; filters (`--bench checker/scalar/k5`) keep
-/// single-machine runs cheap.
-fn bench_machines() -> Vec<(String, MdesSpec)> {
-    let mut machines: Vec<(String, MdesSpec)> = Machine::all()
-        .into_iter()
-        .map(|machine| (machine.name().to_lowercase(), machine.spec()))
-        .collect();
-    machines.push(("pentiumpro".to_string(), mdes_machines::pentium_pro()));
-    machines.push((
-        "superspark_approx".to_string(),
-        mdes_machines::approximate_superspark(),
-    ));
-    machines
+/// Machines the per-machine benches cover: every bundled description,
+/// so the checker replay and scheduling benches see the full range of
+/// MDES shapes (rigid early machines through flexible late ones).  The
+/// registry keys are the bench-name suffixes; filters
+/// (`--bench checker/scalar/k5`) keep single-machine runs cheap.
+fn bench_machines() -> impl Iterator<Item = (&'static str, MdesSpec)> {
+    BUNDLED.iter().map(|machine| (machine.key, machine.spec()))
 }
 
 pub(crate) fn run(config: &BenchConfig, out: &mut Vec<Sample>) {
@@ -394,13 +384,13 @@ pub(crate) fn serve_load(config: &BenchConfig, out: &mut Vec<Sample>) -> (f64, f
     let mut p50 = 0.0;
     let mut p99 = 0.0;
     for machine in Machine::all() {
-        let name = format!("serve/load/{}", machine.name().to_lowercase());
+        let name = format!("serve/load/{}", machine.key());
         if !config.matches(&name) {
             continue;
         }
         let path = std::env::temp_dir().join(format!(
             "mdes-perf-load-{}-{}.sock",
-            machine.name().to_lowercase(),
+            machine.key(),
             std::process::id()
         ));
         let store = Arc::new(mdes_serve::ImageStore::new(

@@ -17,6 +17,15 @@ use crate::depgraph::DepGraph;
 use crate::operation::Block;
 use crate::CheckStats;
 
+/// FNV-1a fingerprint of a stream of issue cycles: two runs that place
+/// every operation of every block on the same cycle hash alike.  Feed it
+/// the schedules' [`Schedule::cycles`] in block order.
+pub fn cycle_hash(cycles: impl IntoIterator<Item = i32>) -> u64 {
+    cycles.into_iter().fold(0xcbf29ce484222325, |hash, cycle| {
+        (hash ^ u64::from(cycle as u32)).wrapping_mul(0x100000001b3)
+    })
+}
+
 /// Where one operation landed.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ScheduledOp {
@@ -552,6 +561,15 @@ mod tests {
 
     fn u(r: usize, t: i32) -> ResourceUsage {
         ResourceUsage::new(mdes_core::ResourceId::from_index(r), t)
+    }
+
+    #[test]
+    fn cycle_hash_is_fnv1a_over_the_cycles_in_order() {
+        assert_eq!(cycle_hash([]), 0xcbf29ce484222325);
+        // One step of FNV-1a on the low 32 bits of -1.
+        let step = (0xcbf29ce484222325u64 ^ 0xffff_ffff).wrapping_mul(0x100000001b3);
+        assert_eq!(cycle_hash([-1]), step);
+        assert_ne!(cycle_hash([0, 1]), cycle_hash([1, 0]));
     }
 
     /// Two-issue machine: 2 decoders, 1 memory unit, 2 ALUs.

@@ -20,6 +20,7 @@ use mdes_core::CompiledMdes;
 use mdes_machines::Machine;
 use mdes_sched::{CheckStats, ListScheduler, SchedScratch};
 use mdes_telemetry::json::Json;
+use mdes_telemetry::latency::nearest_rank;
 use mdes_telemetry::Telemetry;
 use mdes_workload::{generate_compiled_regions, RegionConfig};
 
@@ -67,12 +68,7 @@ impl BenchFlags {
             match arg.as_str() {
                 "--machine" => {
                     let name = iter.next().ok_or("--machine requires a name")?;
-                    flags.machine = Machine::all()
-                        .into_iter()
-                        .find(|m| m.name().eq_ignore_ascii_case(name))
-                        .ok_or_else(|| {
-                            format!("unknown machine `{name}` (PA7100, Pentium, SuperSPARC, K5)")
-                        })?;
+                    flags.machine = Machine::from_name(name)?;
                 }
                 "--jobs" => flags.jobs = positive(iter.next(), "--jobs")?,
                 "--regions" => flags.regions = positive(iter.next(), "--regions")?,
@@ -422,19 +418,6 @@ impl RunState {
     }
 }
 
-/// Nearest-rank percentile over an already-sorted sample set, matching
-/// `LatencyRecorder`'s cut so in-process and over-socket numbers use
-/// the same definition.
-fn percentile_sorted(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = ((q.clamp(0.0, 1.0) * sorted.len() as f64).ceil() as usize)
-        .saturating_sub(1)
-        .min(sorted.len() - 1);
-    sorted[rank]
-}
-
 /// Runs the closed loop: `connections` threads drain a shared request
 /// counter until `requests` have been attempted, firing scripted
 /// reloads along the way, retrying shed requests, and (optionally)
@@ -493,8 +476,8 @@ pub fn run_load(options: &LoadOptions) -> Result<ClientReport, String> {
         reload_acks: state.reload_acks.load(Ordering::Relaxed),
         reload_rejections: state.reload_rejections.load(Ordering::Relaxed),
         reload_surprises: state.reload_surprises.load(Ordering::Relaxed),
-        p50_us: percentile_sorted(&samples, 0.50),
-        p99_us: percentile_sorted(&samples, 0.99),
+        p50_us: nearest_rank(&samples, 0.50).unwrap_or(0),
+        p99_us: nearest_rank(&samples, 0.99).unwrap_or(0),
         errors,
     })
 }
@@ -1078,8 +1061,8 @@ mod tests {
         assert_eq!(merged, concat);
 
         let n = merged.len();
-        let p50 = percentile_sorted(&merged, 0.50);
-        let p99 = percentile_sorted(&merged, 0.99);
+        let p50 = nearest_rank(&merged, 0.50).unwrap();
+        let p99 = nearest_rank(&merged, 0.99).unwrap();
         // Nearest-rank by hand: rank = ceil(q*n) - 1.
         assert_eq!(p50, concat[(0.50f64 * n as f64).ceil() as usize - 1]);
         assert_eq!(p99, concat[(0.99f64 * n as f64).ceil() as usize - 1]);
@@ -1087,23 +1070,5 @@ mod tests {
         // fast path and p99 still reflects the merged distribution.
         assert!(p50 < 200, "p50 dragged by outliers: {p50}");
         assert!(p99 < 90_000, "p99 must sit below the 0.1% outlier band");
-    }
-
-    #[test]
-    fn percentile_sorted_matches_latency_recorder_semantics() {
-        use mdes_telemetry::LatencyRecorder;
-        let samples: Vec<u64> = (1..=137).map(|i| i * 3).collect();
-        let recorder = LatencyRecorder::new(1024);
-        for &s in &samples {
-            recorder.record(s);
-        }
-        for q in [0.0, 0.5, 0.9, 0.99, 1.0] {
-            assert_eq!(
-                Some(percentile_sorted(&samples, q)),
-                recorder.percentile(q),
-                "divergence at q={q}"
-            );
-        }
-        assert_eq!(percentile_sorted(&[], 0.5), 0);
     }
 }

@@ -143,7 +143,9 @@ fn render_number(n: f64, out: &mut String) {
     }
 }
 
-fn render_string(s: &str, out: &mut String) {
+/// Appends `s` to `out` as a quoted JSON string literal, escaping quotes,
+/// backslashes and control characters.
+pub fn render_string(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {

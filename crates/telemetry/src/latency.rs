@@ -101,12 +101,20 @@ impl LatencyRecorder {
             ring.samples.clone()
         };
         snapshot.sort_unstable();
-        let q = q.clamp(0.0, 1.0);
-        let rank = ((q * snapshot.len() as f64).ceil() as usize)
-            .saturating_sub(1)
-            .min(snapshot.len() - 1);
-        Some(snapshot[rank])
+        nearest_rank(&snapshot, q)
     }
+}
+
+/// The nearest-rank value at quantile `q` (clamped to 0.0 ..= 1.0) of an
+/// ascending `sorted` slice, or `None` when it is empty: rank
+/// `ceil(q * n) - 1`, so `q = 0` is the minimum and `q = 1` the maximum.
+/// Every percentile in the workspace cuts with this one definition.
+pub fn nearest_rank(sorted: &[u64], q: f64) -> Option<u64> {
+    let last = sorted.len().checked_sub(1)?;
+    let rank = ((q.clamp(0.0, 1.0) * sorted.len() as f64).ceil() as usize)
+        .saturating_sub(1)
+        .min(last);
+    Some(sorted[rank])
 }
 
 #[cfg(test)]
@@ -130,6 +138,15 @@ mod tests {
         assert_eq!(recorder.percentile(0.50), Some(50));
         assert_eq!(recorder.percentile(0.99), Some(99));
         assert_eq!(recorder.percentile(1.0), Some(100));
+    }
+
+    #[test]
+    fn nearest_rank_over_a_sorted_slice() {
+        let samples: Vec<u64> = (1..=137).map(|i| i * 3).collect();
+        for (q, rank) in [(0.0, 0), (0.5, 68), (0.9, 123), (0.99, 135), (1.0, 136)] {
+            assert_eq!(nearest_rank(&samples, q), Some(samples[rank]), "q={q}");
+        }
+        assert_eq!(nearest_rank(&[], 0.5), None);
     }
 
     #[test]

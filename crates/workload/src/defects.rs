@@ -25,10 +25,9 @@
 
 use mdes_core::spec::{AndOrTree, Constraint, Latency, MdesSpec, OpFlags, OrTree, TableOption};
 use mdes_core::usage::ResourceUsage;
-use mdes_core::ClassId;
+use mdes_core::{ClassId, Pcg32};
 
 use crate::fleet::{fleet_machine, FleetMachine};
-use crate::rng::Pcg32;
 
 /// Ground truth for one planted defect.
 #[derive(Clone, Debug, PartialEq, Eq)]

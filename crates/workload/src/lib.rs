@@ -36,7 +36,6 @@ pub mod fleet;
 pub mod generate;
 pub mod mix;
 pub mod regions;
-pub mod rng;
 
 pub use defects::{fleet_with_defects, PlantedDefect, SeededDefectMachine};
 pub use fleet::{fleet, fleet_machine, FleetMachine};
@@ -45,4 +44,3 @@ pub use generate::{
 };
 pub use mix::{body_mix, end_mix, OpTemplate};
 pub use regions::{generate_compiled_regions, generate_regions, RegionConfig};
-pub use rng::Pcg32;

@@ -9,11 +9,10 @@
 //! stream is identical, which is what the engine's determinism tests
 //! lean on.
 
-use mdes_core::{ClassId, CompiledMdes, MdesSpec};
+use mdes_core::{ClassId, CompiledMdes, MdesSpec, Pcg32};
 use mdes_sched::{Block, Reg};
 
 use crate::generate::{make_op, Workload, WorkloadConfig};
-use crate::rng::Pcg32;
 
 /// Parameters of a synthetic region stream.
 #[derive(Copy, Clone, Debug, PartialEq)]

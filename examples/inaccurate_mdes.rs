@@ -10,14 +10,14 @@
 //! Run with: `cargo run --release --example inaccurate_mdes`
 
 use mdes::core::{CheckStats, CompiledMdes, UsageEncoding};
-use mdes::machines::{approximate_superspark, Machine};
+use mdes::machines::{Machine, SUPERSPARC_APPROX};
 use mdes::sched::{order_of_schedule, simulate_in_order, ListScheduler};
 use mdes::workload::{generate, WorkloadConfig};
 
 fn main() {
     let machine = Machine::SuperSparc;
     let accurate_spec = machine.spec();
-    let approx_spec = approximate_superspark();
+    let approx_spec = SUPERSPARC_APPROX.spec();
     let accurate = CompiledMdes::compile(&accurate_spec, UsageEncoding::BitVector).unwrap();
     let approx = CompiledMdes::compile(&approx_spec, UsageEncoding::BitVector).unwrap();
 

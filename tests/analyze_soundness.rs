@@ -20,27 +20,18 @@ use std::collections::BTreeSet;
 use mdes::analyze::{analyze_spec, render_text};
 use mdes::automata::Automaton;
 use mdes::core::spec::MdesSpec;
+use mdes::core::Pcg32;
 use mdes::core::{CheckStats, Checker, Choice, ClassId, CompiledMdes, RuMap, UsageEncoding};
-use mdes::machines::Machine;
-use mdes::workload::{fleet, fleet_with_defects, Pcg32};
+use mdes::machines::BUNDLED;
+use mdes::workload::{fleet, fleet_with_defects};
 use proptest::prelude::*;
 
 /// Probes per machine per encoding; the issue floor is 1k.
 const PROBES: usize = 1_024;
 
-/// The six bundled machines: the four `Machine` variants plus the two
-/// HMDL-only reconstructions.
-fn bundled() -> Vec<(String, MdesSpec)> {
-    let mut machines: Vec<(String, MdesSpec)> = Machine::all()
-        .into_iter()
-        .map(|m| (m.name().to_lowercase(), m.spec()))
-        .collect();
-    machines.push(("pentiumpro".to_string(), mdes::machines::pentium_pro()));
-    machines.push((
-        "superspark_approx".to_string(),
-        mdes::machines::approximate_superspark(),
-    ));
-    machines
+/// The six bundled machines.
+fn bundled() -> [(&'static str, MdesSpec); 6] {
+    BUNDLED.map(|machine| (machine.key, machine.spec()))
 }
 
 /// The analyzer's dead set for `spec`, as compiled `(tree, option)`
@@ -158,9 +149,9 @@ proptest! {
         for (name, spec) in bundled() {
             let dead = dead_set(&spec);
             for encoding in [UsageEncoding::Scalar, UsageEncoding::BitVector] {
-                replay_checker(&name, &spec, encoding, seed, &dead);
+                replay_checker(name, &spec, encoding, seed, &dead);
             }
-            replay_automaton(&name, &spec, seed, &dead);
+            replay_automaton(name, &spec, seed, &dead);
         }
     }
 }

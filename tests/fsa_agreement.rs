@@ -6,9 +6,9 @@ mod common;
 
 use common::{arb_spec_plan, build_spec};
 use mdes::automata::Automaton;
+use mdes::core::Pcg32;
 use mdes::core::{CheckStats, Checker, ClassId, CompiledMdes, RuMap, UsageEncoding};
 use mdes::machines::Machine;
-use mdes::workload::Pcg32;
 use proptest::prelude::*;
 
 /// Drives both detectors through a pseudorandom issue/advance script and

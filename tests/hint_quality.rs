@@ -14,19 +14,9 @@ use mdes::perf::ORACLE_GAP_CEILING;
 use mdes::sched::{DepGraph, ListScheduler};
 use mdes::workload::{generate_regions, RegionConfig};
 
-/// The six bundled machines: the four `Machine` variants plus the two
-/// HMDL-only descriptions.
-fn bundled() -> Vec<(String, mdes::core::MdesSpec)> {
-    let mut specs: Vec<(String, mdes::core::MdesSpec)> = mdes::machines::Machine::all()
-        .into_iter()
-        .map(|machine| (machine.name().to_lowercase(), machine.spec()))
-        .collect();
-    specs.push(("pentiumpro".into(), mdes::machines::pentium_pro()));
-    specs.push((
-        "superspark_approx".into(),
-        mdes::machines::approximate_superspark(),
-    ));
-    specs
+/// The six bundled machines.
+fn bundled() -> [(&'static str, mdes::core::MdesSpec); 6] {
+    mdes::machines::BUNDLED.map(|machine| (machine.key, machine.spec()))
 }
 
 #[test]

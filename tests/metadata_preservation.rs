@@ -83,7 +83,7 @@ fn approximate_description_is_never_stricter_than_the_accurate_one() {
 
     let machine = Machine::SuperSparc;
     let accurate_spec = machine.spec();
-    let approx_spec = mdes::machines::approximate_superspark();
+    let approx_spec = mdes::machines::SUPERSPARC_APPROX.spec();
     let accurate = CompiledMdes::compile(&accurate_spec, UsageEncoding::BitVector).unwrap();
     let approx = CompiledMdes::compile(&approx_spec, UsageEncoding::BitVector).unwrap();
     let workload = generate(

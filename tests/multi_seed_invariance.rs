@@ -7,21 +7,19 @@ use mdes::core::{CheckStats, CompiledMdes, UsageEncoding};
 use mdes::machines::Machine;
 use mdes::opt::expand::expand_to_or;
 use mdes::opt::pipeline::{optimize, PipelineConfig};
-use mdes::sched::ListScheduler;
+use mdes::sched::{cycle_hash, ListScheduler};
 use mdes::workload::{generate, WorkloadConfig};
 
 fn schedule_hash(spec: &mdes::core::MdesSpec, workload: &mdes::workload::Workload) -> u64 {
     let compiled = CompiledMdes::compile(spec, UsageEncoding::BitVector).unwrap();
     let scheduler = ListScheduler::new(&compiled);
     let mut stats = CheckStats::new();
-    let mut hash: u64 = 0xcbf29ce484222325;
-    for block in &workload.blocks {
-        for cycle in scheduler.schedule(block, &mut stats).cycles() {
-            hash ^= cycle as u32 as u64;
-            hash = hash.wrapping_mul(0x100000001b3);
-        }
-    }
-    hash
+    cycle_hash(
+        workload
+            .blocks
+            .iter()
+            .flat_map(|block| scheduler.schedule(block, &mut stats).cycles()),
+    )
 }
 
 #[test]
