@@ -114,13 +114,22 @@ if grep -qi 'poison' "$METRICS"; then
 fi
 
 # The same smoke at eight workers: oversubscribed relative to most CI
-# boxes, so the chunked/stealing hand-off and per-worker state reuse get
-# exercised under real contention — and must still lose zero jobs.
+# boxes, so the chunk dispenser and per-worker state reuse get exercised
+# under real contention — and must still lose zero jobs.  The folded
+# check count must equal the two-worker run's: a dispenser that ran one
+# job twice and skipped another would still complete 2000 jobs, but
+# would almost surely not reproduce the exact resource_checks total.
 METRICS8="$ART/bench-serve-w8.json"
 ./target/release/mdesc bench-serve --jobs 8 --regions 2000 --seed 42 \
     --metrics "$METRICS8"
 expect '"engine/jobs_completed":2000' "$METRICS8"
 expect '"engine/worker_panics":0' "$METRICS8"
+CHECKS2=$(grep -o '"engine/sched/resource_checks":[0-9]*' "$METRICS" || true)
+CHECKS8=$(grep -o '"engine/sched/resource_checks":[0-9]*' "$METRICS8" || true)
+if [ -z "$CHECKS2" ] || [ "$CHECKS2" != "$CHECKS8" ]; then
+    echo "ci: bench-serve folds differ: w2 ${CHECKS2:-missing}, w8 ${CHECKS8:-missing}" >&2
+    exit 1
+fi
 
 # Shared images for both serving smokes: a good reload target (compiled
 # from a bundled description) and a corrupt one the daemon must reject.

@@ -100,6 +100,19 @@ impl From<&str> for CliError {
 
 type CliResult<T = ()> = Result<T, CliError>;
 
+/// Parses a flag's value as an integer of at least one; anything else
+/// (missing, malformed, zero) fails with `<flag> requires a positive
+/// integer`.
+fn positive<N>(value: Option<&String>, flag: &str) -> CliResult<N>
+where
+    N: std::str::FromStr + PartialOrd + From<u8>,
+{
+    value
+        .and_then(|v| v.parse().ok())
+        .filter(|n| *n >= N::from(1))
+        .ok_or_else(|| CliError::from(format!("{flag} requires a positive integer")))
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
@@ -535,20 +548,8 @@ fn optimize_cmd(args: &[String], tel: &Telemetry) -> CliResult {
                     .ok_or("--guard requires off, validate or oracle")?
                     .parse()?;
             }
-            "--ops" => {
-                total_ops = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--ops requires a positive integer")?;
-            }
-            "--jobs" => {
-                jobs = Some(
-                    iter.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&n| n >= 1)
-                        .ok_or("--jobs requires a positive integer")?,
-                );
-            }
+            "--ops" => total_ops = positive(iter.next(), "--ops")?,
+            "--jobs" => jobs = Some(positive(iter.next(), "--jobs")?),
             "--encoding" => {
                 encoding = match iter.next().map(String::as_str) {
                     Some("scalar") => UsageEncoding::Scalar,
@@ -818,10 +819,9 @@ fn bench_serve_cmd(args: &[String], tel: &Telemetry) -> CliResult {
     );
     for worker in &outcome.workers {
         println!(
-            "  worker{}: {} jobs, {} steals, {} checks, busy {:.3}ms, queue wait {:.3}ms",
+            "  worker{}: {} jobs, {} checks, busy {:.3}ms, queue wait {:.3}ms",
             worker.load.worker,
             worker.load.jobs,
-            worker.load.steals,
             worker.stats.resource_checks,
             worker.load.busy_nanos as f64 / 1e6,
             worker.load.queue_wait_nanos as f64 / 1e6,
@@ -874,11 +874,6 @@ fn serve_cmd(args: &[String], tel: &Telemetry) -> CliResult {
     let mut input: Option<&str> = None;
     let mut addr: Option<BindAddr> = None;
     let mut config = ServeConfig::default();
-    let positive = |v: Option<&String>, flag: &str| -> CliResult<usize> {
-        v.and_then(|v| v.parse().ok())
-            .filter(|&n| n >= 1)
-            .ok_or_else(|| CliError::from(format!("{flag} requires a positive integer")))
-    };
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
@@ -899,10 +894,10 @@ fn serve_cmd(args: &[String], tel: &Telemetry) -> CliResult {
             "--workers" => config.workers = positive(iter.next(), "--workers")?,
             "--queue" => config.queue_capacity = positive(iter.next(), "--queue")?,
             "--read-timeout-ms" => {
-                config.read_timeout_ms = positive(iter.next(), "--read-timeout-ms")? as u64;
+                config.read_timeout_ms = positive(iter.next(), "--read-timeout-ms")?;
             }
             "--deadline-ms" => {
-                config.default_deadline_ms = Some(positive(iter.next(), "--deadline-ms")? as u64);
+                config.default_deadline_ms = Some(positive(iter.next(), "--deadline-ms")?);
             }
             "--chaos" => config.chaos = true,
             "--seed" => {
@@ -1051,11 +1046,6 @@ fn serve_load_cmd(args: &[String], tel: &Telemetry) -> CliResult {
     let mut verify = true;
     let mut shutdown = false;
     let mut reloads: Vec<ReloadEvent> = Vec::new();
-    let positive = |v: Option<&String>, flag: &str| -> CliResult<usize> {
-        v.and_then(|v| v.parse().ok())
-            .filter(|&n| n >= 1)
-            .ok_or_else(|| CliError::from(format!("{flag} requires a positive integer")))
-    };
     let mut iter = rest.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
@@ -1077,7 +1067,7 @@ fn serve_load_cmd(args: &[String], tel: &Telemetry) -> CliResult {
                 spray = machine_list(spec)?;
             }
             "--deadline-ms" => {
-                deadline_ms = Some(positive(iter.next(), "--deadline-ms")? as u64);
+                deadline_ms = Some(positive(iter.next(), "--deadline-ms")?);
             }
             "--max-retries" => max_retries = positive(iter.next(), "--max-retries")?,
             "--no-verify" => verify = false,
@@ -1166,13 +1156,7 @@ fn perf_cmd(args: &[String], tel: &Telemetry) -> CliResult {
             "--filter" => {
                 config.filter = Some(iter.next().ok_or("--filter requires a substring")?.clone());
             }
-            "--reps" => {
-                config.reps = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&r: &usize| r >= 1)
-                    .ok_or("--reps requires a positive integer")?;
-            }
+            "--reps" => config.reps = positive(iter.next(), "--reps")?,
             "--json" => json_path = Some(iter.next().ok_or("--json requires a path")?),
             "--baseline" => {
                 baseline_path = Some(iter.next().ok_or("--baseline requires a path")?);
@@ -1259,39 +1243,13 @@ fn oracle_cmd(args: &[String], tel: &Telemetry) -> CliResult {
                     .and_then(|v| v.parse().ok())
                     .ok_or("--seed requires an integer")?;
             }
-            "--regions" => {
-                regions = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n: &usize| n >= 1)
-                    .ok_or("--regions requires a positive integer")?;
-            }
-            "--max-ops" => {
-                max_ops = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n: &usize| n >= 1)
-                    .ok_or("--max-ops requires a positive integer")?;
-            }
-            "--node-limit" => {
-                node_limit = Some(
-                    iter.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&n: &u64| n >= 1)
-                        .ok_or("--node-limit requires a positive integer")?,
-                );
-            }
+            "--regions" => regions = positive(iter.next(), "--regions")?,
+            "--max-ops" => max_ops = positive(iter.next(), "--max-ops")?,
+            "--node-limit" => node_limit = Some(positive(iter.next(), "--node-limit")?),
             "--machine" => {
                 machine_filter = Some(iter.next().ok_or("--machine requires a name")?.clone());
             }
-            "--fleet" => {
-                fleet_size = Some(
-                    iter.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&n: &usize| n >= 1)
-                        .ok_or("--fleet requires a positive integer")?,
-                );
-            }
+            "--fleet" => fleet_size = Some(positive(iter.next(), "--fleet")?),
             other => return Err(CliError::from(format!("unexpected argument `{other}`"))),
         }
     }
@@ -1469,12 +1427,7 @@ fn schedule_cmd(args: &[String], tel: &Telemetry) -> CliResult {
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
-            "--ops" => {
-                total_ops = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--ops requires a positive integer")?;
-            }
+            "--ops" => total_ops = positive(iter.next(), "--ops")?,
             "--no-optimize" => do_optimize = false,
             other if input.is_none() && !other.starts_with('-') => input = Some(other),
             other => return Err(CliError::from(format!("unexpected argument `{other}`"))),
@@ -1566,13 +1519,7 @@ fn lint_cmd(args: &[String], tel: &Telemetry) -> CliResult {
                         .as_str(),
                 );
             }
-            "--fleet" => {
-                fleet_size = Some(
-                    iter.next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or("--fleet requires a positive integer")?,
-                );
-            }
+            "--fleet" => fleet_size = Some(positive(iter.next(), "--fleet")?),
             "--seed" => {
                 seed = iter
                     .next()
@@ -1719,12 +1666,7 @@ fn chart_cmd(args: &[String]) -> CliResult {
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
-            "--ops" => {
-                total_ops = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--ops requires a positive integer")?;
-            }
+            "--ops" => total_ops = positive(iter.next(), "--ops")?,
             other if input.is_none() && !other.starts_with('-') => input = Some(other),
             other => return Err(CliError::from(format!("unexpected argument `{other}`"))),
         }

@@ -533,6 +533,20 @@ fn usage_errors_exit_1() {
 }
 
 #[test]
+fn ops_zero_is_rejected_with_the_positive_integer_message() {
+    let hmdl = machine_hmdl("k5.hmdl");
+    for command in ["optimize", "schedule", "chart"] {
+        let out = mdesc(&[command, hmdl.to_str().unwrap(), "--ops", "0"]);
+        assert_eq!(out.status.code(), Some(1), "{command}: {}", stderr(&out));
+        assert!(
+            stderr(&out).contains("--ops requires a positive integer"),
+            "{command}: {}",
+            stderr(&out)
+        );
+    }
+}
+
+#[test]
 fn verify_clean_run_exits_0_and_reports_on_stdout() {
     let dir = temp_dir("verifyclean");
     let hmdl = dir.join("demo.hmdl");

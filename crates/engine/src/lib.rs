@@ -11,16 +11,15 @@
 //! (reset on entry, never reallocated).
 //!
 //! The crate has **zero external dependencies**; the pool is built from
-//! [`std::thread::scope`], a chunked atomic dispenser, and per-worker
-//! range words that idle workers steal from.
+//! [`std::thread::scope`] and one atomic chunk dispenser.
 //!
 //! ## Model
 //!
 //! * [`pool::run_batch_stateful`] — the generic thread pool: workers claim
 //!   contiguous chunks of the shared job slice (one `fetch_add` amortized
-//!   over a whole chunk), steal half-chunks from each other when idle, and
-//!   carry one long-lived state value across all their jobs. Each job's
-//!   panic is caught and surfaced rather than tearing the batch down.
+//!   over a whole chunk) and carry one long-lived state value across all
+//!   their jobs. Each job's panic is caught and surfaced rather than
+//!   tearing the batch down.
 //! * [`Engine`] — the scheduling front: [`Engine::schedule_batch`] runs
 //!   the list scheduler over a batch of regions (basic blocks) against
 //!   borrowed per-worker scratch ([`mdes_sched::SchedScratch`]) and
@@ -30,7 +29,7 @@
 //!
 //! The same region batch with the same shared MDES produces byte-identical
 //! schedules and identical folded [`CheckStats`] regardless of the worker
-//! count, chunk size, or steal interleaving. Two facts carry the argument:
+//! count, chunk size, or claim interleaving. Two facts carry the argument:
 //!
 //! 1. **Each job is a pure function of its block.** A job schedules
 //!    against per-worker scratch that is *reset on entry* to a state
@@ -44,8 +43,8 @@
 //!    per-worker accumulators equals folding per-job stats in job-index
 //!    order, whatever the job-to-worker assignment was.
 //!
-//! Only wall-clock measurements (queue wait, busy time, jobs/sec, steal
-//! counts) vary run to run. See `docs/concurrency.md`.
+//! Only wall-clock measurements (queue wait, busy time, jobs/sec) and the
+//! per-worker job split vary run to run. See `docs/concurrency.md`.
 //!
 //! # Example
 //!
@@ -82,7 +81,7 @@ pub mod pool;
 use std::sync::Arc;
 
 use mdes_core::{CheckStats, CompiledMdes};
-use mdes_sched::{Block, ListScheduler, Priority, SchedScratch, Schedule};
+use mdes_sched::{Block, ListScheduler, SchedScratch, Schedule};
 use mdes_telemetry::Telemetry;
 
 pub use pool::{chunk_size, run_batch, run_batch_stateful, PoolOutcome, WorkerLoad};
@@ -92,24 +91,13 @@ pub use pool::{chunk_size, run_batch, run_batch_stateful, PoolOutcome, WorkerLoa
 #[derive(Clone, Debug)]
 pub struct Engine {
     mdes: Arc<CompiledMdes>,
-    priority: Priority,
     hints: bool,
 }
 
 impl Engine {
     /// Creates an engine around a shared compiled description.
     pub fn new(mdes: Arc<CompiledMdes>) -> Engine {
-        Engine {
-            mdes,
-            priority: Priority::default(),
-            hints: false,
-        }
-    }
-
-    /// Overrides the list-scheduler priority function.
-    pub fn with_priority(mut self, priority: Priority) -> Engine {
-        self.priority = priority;
-        self
+        Engine { mdes, hints: false }
     }
 
     /// Enables hint-first option ordering in the per-job schedulers (see
@@ -129,8 +117,8 @@ impl Engine {
     }
 
     /// Schedules every block in `blocks` across `jobs` workers (clamped
-    /// to at least one) and returns index-aligned results plus folded
-    /// statistics.
+    /// to `1..=blocks.len()`, see [`run_batch_stateful`]) and returns
+    /// index-aligned results plus folded statistics.
     ///
     /// Workers share the compiled MDES read-only; each worker owns one
     /// long-lived [`SchedScratch`] (RU map, placement buffers, hint
@@ -146,7 +134,6 @@ impl Engine {
     /// after the job returns).
     pub fn schedule_batch(&self, blocks: &[Block], jobs: usize) -> BatchOutcome {
         let mdes = &*self.mdes;
-        let priority = self.priority;
         let hints = self.hints;
 
         struct WorkerState {
@@ -164,9 +151,7 @@ impl Engine {
                 job_stats: CheckStats::new(),
             },
             |state, _, _, block| {
-                let scheduler = ListScheduler::new(mdes)
-                    .with_priority(priority)
-                    .with_hints(hints);
+                let scheduler = ListScheduler::new(mdes).with_hints(hints);
                 // Reset on entry: a panicked predecessor may have left
                 // job_stats (and the scratch) mid-flight.
                 state.job_stats.reset();
@@ -243,12 +228,6 @@ impl BatchOutcome {
         self.workers.iter().map(|w| w.load.panics).sum()
     }
 
-    /// Half-chunk steals performed across the batch (load-balance
-    /// telemetry; varies run to run and never affects results).
-    pub fn steals(&self) -> u64 {
-        self.workers.iter().map(|w| w.load.steals).sum()
-    }
-
     /// Whether every job completed without a panic.
     pub fn is_clean(&self) -> bool {
         self.worker_panics() == 0 && self.schedules.iter().all(|s| s.is_some())
@@ -284,13 +263,11 @@ impl BatchOutcome {
         tel.counter_add(&format!("{prefix}/worker_panics"), self.worker_panics());
         tel.gauge_set(&format!("{prefix}/jobs_per_sec"), self.jobs_per_sec());
         tel.gauge_set(&format!("{prefix}/workers"), self.workers.len() as f64);
-        tel.counter_add(&format!("{prefix}/steals"), self.steals());
         for worker in &self.workers {
             let base = format!("{prefix}/worker{}", worker.load.worker);
             tel.record_span(&format!("{base}/queue_wait"), worker.load.queue_wait_nanos);
             tel.record_span(&format!("{base}/busy"), worker.load.busy_nanos);
             tel.counter_add(&format!("{base}/jobs"), worker.load.jobs);
-            tel.counter_add(&format!("{base}/steals"), worker.load.steals);
             tel.counter_add(&format!("{base}/attempts"), worker.stats.attempts);
             tel.counter_add(
                 &format!("{base}/resource_checks"),
