@@ -6,8 +6,8 @@
 #   ./ci.sh --full   everything above plus the release-profile workspace
 #                    suites, the paper-table snapshot (results/tables.txt
 #                    regenerated and compared byte for byte), the
-#                    bench-serve concurrency smokes, the
-#                    daemon serving smokes (a v1 serial client and a
+#                    bench-serve concurrency smokes, the closed-pipe
+#                    smoke, the daemon serving smokes (a v1 serial client and a
 #                    pipelined multi-shard client, each verified
 #                    closed-loop with a hot reload and an
 #                    injected-corrupt reload), the exact-scheduler
@@ -131,6 +131,18 @@ if [ -z "$CHECKS2" ] || [ "$CHECKS2" != "$CHECKS8" ]; then
     exit 1
 fi
 
+# Closed-pipe smoke: a reader that stops after one line closes mdesc's
+# stdout, and the command must end quietly (exit 0, no panic) instead
+# of panicking on the broken pipe.  dash has no pipefail, so the
+# pipeline runs under bash to surface mdesc's own exit status.
+PIPE_ERR="$ART/closed-pipe.err"
+bash -c 'set -o pipefail
+./target/release/mdesc bench-serve --jobs 1 --regions 2000 2>"$1" | head -1' _ "$PIPE_ERR"
+if grep -q 'panicked' "$PIPE_ERR"; then
+    echo 'ci: mdesc panicked on a closed stdout' >&2
+    exit 1
+fi
+
 # Shared images for both serving smokes: a good reload target (compiled
 # from a bundled description) and a corrupt one the daemon must reject.
 GOOD_HMDL="$ART/pentium.hmdl"
@@ -223,8 +235,9 @@ expect '"engine/worker_panics":0' "$SHARD_METRICS"
 # bundled machines.  Region counts are seed-deterministic, so the grep
 # demands the exact aggregate — any drift means the workload or the
 # oracle's op cap changed — and the published metrics must record zero
-# invariant inversions (an oracle schedule failing replay, a production
-# schedule beating the proven minimum, an II escaping its sandwich).
+# invariant inversions (an oracle or list schedule failing replay, a
+# production schedule beating the proven minimum, an II escaping its
+# sandwich).
 ORACLE_METRICS="$ART/oracle-metrics.json"
 ORACLE_OUT="$ART/oracle-out.txt"
 ./target/release/mdesc --metrics "$ORACLE_METRICS" oracle --seed 42 \
@@ -303,8 +316,8 @@ cargo clippy -p mdes-lang -p mdes-opt -- \
 # generous K finds an unthrottled window.  The gate also enforces the
 # hardware-aware batch_scaling floor (engine w1 ÷ w4 parallel speedup:
 # >= 3.0 on hosts with 4+ CPUs, a 0.85 no-harm bound on smaller boxes),
-# the absolute oracle_gap_hinted ceiling (hinted schedules at most
-# 15% over the proven minimum — see docs/performance.md and
+# the absolute oracle_gap ceiling (the shipped list scheduler's schedules
+# at most 15% over the proven minimum — see docs/performance.md and
 # docs/oracle.md), and — new with the schema-4 baseline — the daemon's
 # closed-loop serve latency: serve_p50_us/serve_p99_us from the
 # serve/load/* family may not drift past the baseline by more than the

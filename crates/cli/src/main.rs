@@ -35,8 +35,27 @@
 //! structural-validation failures, and 4 for differential-oracle
 //! mismatches; see `docs/robustness.md`.
 
+// `print!`/`println!` below go through `print_stdout` rather than std's
+// macros, which panic when the reader of stdout has gone away
+// (`mdesc ... | head -1`).
+macro_rules! print {
+    ($($arg:tt)*) => {
+        $crate::print_stdout(format_args!($($arg)*))
+    };
+}
+
+macro_rules! println {
+    () => {
+        print!("\n")
+    };
+    ($($arg:tt)*) => {
+        $crate::print_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 mod analysis;
 
+use std::io::Write;
 use std::process::ExitCode;
 
 use mdes_core::size::measure;
@@ -99,6 +118,19 @@ impl From<&str> for CliError {
 }
 
 type CliResult<T = ()> = Result<T, CliError>;
+
+/// Writes command output to stdout.  A closed stdout means the reader
+/// has all it wants, so the command ends quietly with success; any other
+/// write failure is a general error.
+fn print_stdout(args: std::fmt::Arguments) {
+    if let Err(err) = std::io::stdout().lock().write_fmt(args) {
+        if err.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("error: cannot write to stdout: {err}");
+        std::process::exit(EXIT_GENERAL.into());
+    }
+}
 
 /// Parses a flag's value as an integer of at least one; anything else
 /// (missing, malformed, zero) fails with `<flag> requires a positive
@@ -1195,12 +1227,19 @@ fn perf_cmd(args: &[String], tel: &Telemetry) -> CliResult {
         .map_err(|e| format!("bad baseline `{baseline_path}`: {e}"))?;
     let floor = mdes_perf::batch_scaling_floor();
     let ceiling = mdes_perf::ORACLE_GAP_CEILING;
-    let outcome = mdes_perf::compare(&report, &baseline, max_regression, floor, ceiling);
+    let outcome = mdes_perf::compare(
+        &report,
+        &baseline,
+        config.filter.as_deref(),
+        max_regression,
+        floor,
+        ceiling,
+    );
     print!("\n{}", mdes_perf::report::render_deltas(&outcome));
     println!(
         "batch_scaling floor on this host: {floor:.2}x (hardware-aware, see docs/performance.md)"
     );
-    println!("oracle_gap_hinted ceiling: {ceiling:.2} (absolute bound, see docs/oracle.md)");
+    println!("oracle_gap ceiling: {ceiling:.2} (absolute bound, see docs/oracle.md)");
     if outcome.passed() {
         println!("perf gate: PASS");
         Ok(())
@@ -1221,10 +1260,10 @@ fn perf_cmd(args: &[String], tel: &Telemetry) -> CliResult {
 ///
 /// Default mode covers every bundled machine: seeded oracle-sized
 /// regions are scheduled by the oracle (provably minimal up to the node
-/// budget), replay-verified, and compared against the unhinted and
-/// hinted list schedulers plus the modulo scheduler's II sandwich.  Any
-/// invariant inversion (`sched/oracle_violations` in `--metrics`) fails
-/// with the oracle exit code.  `--fleet N` switches to N synthetic
+/// budget), replay-verified, and compared against the list scheduler
+/// plus the modulo scheduler's II sandwich.  Any invariant inversion
+/// (`sched/oracle_violations` in `--metrics`) fails with the oracle
+/// exit code.  `--fleet N` switches to N synthetic
 /// machines from `mdes_workload::fleet`, adding a guard-oracle fuzz of
 /// the optimization pipeline per machine; see docs/oracle.md.
 fn oracle_cmd(args: &[String], tel: &Telemetry) -> CliResult {
@@ -1305,14 +1344,13 @@ fn oracle_cmd(args: &[String], tel: &Telemetry) -> CliResult {
         };
         report.merge(&modulo);
         println!(
-            "{name}: {} regions ({} skipped), {} proved, {} improved, gap {:.3} \
-             (hinted {:.3}), {} loops, II gap {:.3}, {} nodes, {} violation(s)",
+            "{name}: {} regions ({} skipped), {} proved, {} improved, gap {:.3}, \
+             {} loops, II gap {:.3}, {} nodes, {} violation(s)",
             report.regions,
             report.skipped,
             report.proved,
             report.improved,
             report.gap(),
-            report.hinted_gap(),
             report.loops,
             report.modulo_gap(),
             report.nodes,
@@ -1333,12 +1371,11 @@ fn oracle_cmd(args: &[String], tel: &Telemetry) -> CliResult {
     }
     total.publish(tel);
     println!(
-        "oracle: {machines_run} machine(s), {} regions, {} loops, gap {:.3} hinted {:.3} \
-         modulo {:.3}, {} violation(s)",
+        "oracle: {machines_run} machine(s), {} regions, {} loops, gap {:.3} modulo {:.3}, \
+         {} violation(s)",
         total.regions,
         total.loops,
         total.gap(),
-        total.hinted_gap(),
         total.modulo_gap(),
         total.violations
     );
@@ -1399,12 +1436,11 @@ fn oracle_fleet_cmd(
     total.publish(tel);
     tel.counter_add("sched/oracle_guard_incidents", incidents as u64);
     println!(
-        "oracle fleet: {n} machine(s), {} regions ({} skipped), gap {:.3} hinted {:.3}, \
+        "oracle fleet: {n} machine(s), {} regions ({} skipped), gap {:.3}, \
          {} guard incident(s), {} violation(s)",
         total.regions,
         total.skipped,
         total.gap(),
-        total.hinted_gap(),
         incidents,
         total.violations
     );

@@ -754,3 +754,25 @@ fn optimize_jobs_flag_is_deterministic_at_the_cli_level() {
     assert_eq!(stdout(&one), stdout(&serial));
     let _ = dir;
 }
+
+#[test]
+fn closed_stdout_ends_commands_quietly() {
+    // The read end is closed before the child starts, so the child's
+    // first write to stdout fails with a broken pipe.
+    let commands: [&[&str]; 2] = [
+        &["bundled", "K5"],
+        &["bench-serve", "--jobs", "1", "--regions", "200"],
+    ];
+    for args in commands {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_mdesc"))
+            .args(args)
+            .stdout(writer)
+            .output()
+            .expect("mdesc runs");
+        let err = stderr(&out);
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {err}");
+    }
+}

@@ -73,7 +73,7 @@ pub mod spec;
 pub mod stats;
 pub mod usage;
 
-pub use compile::{Checker, Checks, Choice, CompiledMdes, OptionHints, UsageEncoding};
+pub use compile::{Checker, Checks, Choice, CompiledMdes, UsageEncoding};
 pub use error::MdesError;
 pub use resource::{ResourceId, ResourcePool};
 pub use rng::Pcg32;

@@ -35,7 +35,7 @@
 //!    against per-worker scratch that is *reset on entry* to a state
 //!    observationally identical to freshly allocated scratch
 //!    (`RuMap::clear` keeps only capacity, `CheckStats::reset` compares
-//!    equal to `CheckStats::new()`, hint tables are re-initialized), so
+//!    equal to `CheckStats::new()`), so
 //!    which worker runs a job — and what ran before it — cannot leak into
 //!    its schedule. Results land in index-aligned slots.
 //! 2. **The stats fold is partition-invariant.** [`CheckStats::merge`] is
@@ -91,24 +91,12 @@ pub use pool::{chunk_size, run_batch, run_batch_stateful, PoolOutcome, WorkerLoa
 #[derive(Clone, Debug)]
 pub struct Engine {
     mdes: Arc<CompiledMdes>,
-    hints: bool,
 }
 
 impl Engine {
     /// Creates an engine around a shared compiled description.
     pub fn new(mdes: Arc<CompiledMdes>) -> Engine {
-        Engine { mdes, hints: false }
-    }
-
-    /// Enables hint-first option ordering in the per-job schedulers (see
-    /// [`mdes_sched::ListScheduler::with_hints`]).  Hint state lives
-    /// inside each job's scheduling run, so results stay independent of
-    /// worker count and job order; off by default because hinted runs may
-    /// select different (equally valid) options than strict priority
-    /// order.
-    pub fn with_hints(mut self, hints: bool) -> Engine {
-        self.hints = hints;
-        self
+        Engine { mdes }
     }
 
     /// The shared description this engine schedules against.
@@ -121,11 +109,11 @@ impl Engine {
     /// index-aligned results plus folded statistics.
     ///
     /// Workers share the compiled MDES read-only; each worker owns one
-    /// long-lived [`SchedScratch`] (RU map, placement buffers, hint
-    /// table) and one [`CheckStats`] scratch that are *reset* — not
-    /// reallocated — at the start of every job, so the result for block
-    /// *i* is independent of worker count and assignment (see the
-    /// crate-level determinism contract). A job that panics leaves a
+    /// long-lived [`SchedScratch`] (RU map, placement buffers) and one
+    /// [`CheckStats`] scratch that are *reset* — not reallocated — at the
+    /// start of every job, so the result for block *i* is independent of
+    /// worker count and assignment (see the crate-level determinism
+    /// contract). A job that panics leaves a
     /// `None` at its own index in [`BatchOutcome::schedules`] — results
     /// are written in place by job index, never shifted — and is counted
     /// in [`BatchOutcome::worker_panics`]; the rest of the batch
@@ -134,7 +122,6 @@ impl Engine {
     /// after the job returns).
     pub fn schedule_batch(&self, blocks: &[Block], jobs: usize) -> BatchOutcome {
         let mdes = &*self.mdes;
-        let hints = self.hints;
 
         struct WorkerState {
             scratch: SchedScratch,
@@ -151,7 +138,7 @@ impl Engine {
                 job_stats: CheckStats::new(),
             },
             |state, _, _, block| {
-                let scheduler = ListScheduler::new(mdes).with_hints(hints);
+                let scheduler = ListScheduler::new(mdes);
                 // Reset on entry: a panicked predecessor may have left
                 // job_stats (and the scratch) mid-flight.
                 state.job_stats.reset();

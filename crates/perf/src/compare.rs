@@ -17,7 +17,9 @@
 //!
 //! A bench present in the baseline but missing from the run fails (a
 //! silently dropped bench is how perf coverage rots); a new bench not
-//! yet in the baseline is reported but passes.
+//! yet in the baseline is reported but passes.  A run made with a
+//! `--filter` is compared only on the baseline benches that filter
+//! selects: the rest were never meant to run, so they are not missing.
 //!
 //! On top of the per-bench comparison, the gate enforces a **floor** on
 //! the report's derived `batch_scaling` figure (the engine's measured
@@ -28,9 +30,9 @@
 //! [`crate::batch_scaling_floor_for`].
 //!
 //! Symmetrically the gate enforces a **ceiling** on the derived
-//! `oracle_gap_hinted` figure (hinted list-scheduler cycles ÷ exact
-//! branch-and-bound oracle cycles on the seeded small regions): the
-//! hinted scheduler may not drift more than
+//! `oracle_gap` figure (list-scheduler cycles ÷ exact branch-and-bound
+//! oracle cycles on the seeded small regions): the list scheduler may
+//! not drift more than
 //! [`crate::ORACLE_GAP_CEILING`] above provably-optimal length, no
 //! matter what the baseline measured.
 //!
@@ -77,7 +79,7 @@ pub enum DeltaKind {
     /// floor.  For gauge deltas the `*_ns_per_op` fields carry the floor
     /// and the measured value instead of timings.
     BelowFloor,
-    /// A derived gauge (e.g. `oracle_gap_hinted`) is above its allowed
+    /// A derived gauge (e.g. `oracle_gap`) is above its allowed
     /// ceiling.  As with [`DeltaKind::BelowFloor`], the `*_ns_per_op`
     /// fields carry the ceiling and the measured value.
     AboveCeiling,
@@ -112,21 +114,27 @@ impl CompareOutcome {
 /// tolerance (0.25 = fail beyond 25% slower per work unit) and fails
 /// the run when its `batch_scaling` figure is below
 /// `batch_scaling_floor` (pass [`crate::batch_scaling_floor`] for the
-/// current host's bound) or its `oracle_gap_hinted` figure is above
+/// current host's bound) or its `oracle_gap` figure is above
 /// `oracle_gap_ceiling` (pass [`crate::ORACLE_GAP_CEILING`]).  Each
 /// gauge check is skipped when its benches were filtered out of the run
 /// (the figure reads 0).  The serve-latency percentiles are compared
 /// against the baseline's under `max_regression`, skipped when either
-/// side reads 0.
+/// side reads 0.  `filter` is the substring the run was filtered by
+/// ([`crate::BenchConfig::filter`]): baseline benches it does not select
+/// are left out of the comparison.
 pub fn compare(
     current: &Report,
     baseline: &Report,
+    filter: Option<&str>,
     max_regression: f64,
     batch_scaling_floor: f64,
     oracle_gap_ceiling: f64,
 ) -> CompareOutcome {
     let mut deltas = Vec::new();
     for base in &baseline.benches {
+        if !crate::selects(filter, &base.name) {
+            continue;
+        }
         let delta = match current.bench(&base.name) {
             None => Delta {
                 name: base.name.clone(),
@@ -185,13 +193,13 @@ pub fn compare(
             },
         });
     }
-    if current.oracle_gap_hinted > 0.0 && oracle_gap_ceiling > 0.0 {
+    if current.oracle_gap > 0.0 && oracle_gap_ceiling > 0.0 {
         deltas.push(Delta {
-            name: "oracle_gap_hinted (ceiling)".to_string(),
+            name: "oracle_gap (ceiling)".to_string(),
             baseline_ns_per_op: oracle_gap_ceiling,
-            current_ns_per_op: current.oracle_gap_hinted,
-            ratio: current.oracle_gap_hinted / oracle_gap_ceiling - 1.0,
-            kind: if current.oracle_gap_hinted > oracle_gap_ceiling {
+            current_ns_per_op: current.oracle_gap,
+            ratio: current.oracle_gap / oracle_gap_ceiling - 1.0,
+            kind: if current.oracle_gap > oracle_gap_ceiling {
                 DeltaKind::AboveCeiling
             } else {
                 DeltaKind::Ok
@@ -254,7 +262,7 @@ mod tests {
                 .collect(),
             checker_speedup: 0.0,
             batch_scaling: 0.0,
-            oracle_gap_hinted: 0.0,
+            oracle_gap: 0.0,
             serve_p50_us: 0.0,
             serve_p99_us: 0.0,
         }
@@ -263,7 +271,7 @@ mod tests {
     #[test]
     fn identical_reports_pass() {
         let r = report(&[("a", 100, 1000), ("b", 5, 700)]);
-        let outcome = compare(&r, &r, 0.25, 0.0, 0.0);
+        let outcome = compare(&r, &r, None, 0.25, 0.0, 0.0);
         assert!(outcome.passed());
         assert!(outcome.deltas.iter().all(|d| d.kind == DeltaKind::Ok));
     }
@@ -273,8 +281,8 @@ mod tests {
         let base = report(&[("a", 100, 1000)]);
         let slower_ok = report(&[("a", 100, 1200)]);
         let slower_bad = report(&[("a", 100, 1300)]);
-        assert!(compare(&slower_ok, &base, 0.25, 0.0, 0.0).passed());
-        let outcome = compare(&slower_bad, &base, 0.25, 0.0, 0.0);
+        assert!(compare(&slower_ok, &base, None, 0.25, 0.0, 0.0).passed());
+        let outcome = compare(&slower_bad, &base, None, 0.25, 0.0, 0.0);
         assert!(!outcome.passed());
         assert_eq!(
             outcome.failures().next().unwrap().kind,
@@ -286,14 +294,14 @@ mod tests {
     fn speedups_always_pass() {
         let base = report(&[("a", 100, 1000)]);
         let faster = report(&[("a", 100, 10)]);
-        assert!(compare(&faster, &base, 0.0, 0.0, 0.0).passed());
+        assert!(compare(&faster, &base, None, 0.0, 0.0, 0.0).passed());
     }
 
     #[test]
     fn op_count_drift_fails_even_when_faster() {
         let base = report(&[("a", 100, 1000)]);
         let drifted = report(&[("a", 99, 10)]);
-        let outcome = compare(&drifted, &base, 0.25, 0.0, 0.0);
+        let outcome = compare(&drifted, &base, None, 0.25, 0.0, 0.0);
         assert!(!outcome.passed());
         assert_eq!(
             outcome.failures().next().unwrap().kind,
@@ -305,10 +313,26 @@ mod tests {
     fn missing_bench_fails_new_bench_passes() {
         let base = report(&[("a", 100, 1000)]);
         let renamed = report(&[("b", 100, 1000)]);
-        let outcome = compare(&renamed, &base, 0.25, 0.0, 0.0);
+        let outcome = compare(&renamed, &base, None, 0.25, 0.0, 0.0);
         assert!(!outcome.passed());
         let kinds: Vec<DeltaKind> = outcome.deltas.iter().map(|d| d.kind).collect();
         assert_eq!(kinds, vec![DeltaKind::Missing, DeltaKind::New]);
+    }
+
+    #[test]
+    fn filtered_run_is_compared_only_on_the_benches_it_selects() {
+        let base = report(&[("checker/k5", 100, 1000), ("oracle/bnb/k5", 7, 1000)]);
+        let now = report(&[("oracle/bnb/k5", 7, 1000)]);
+        let outcome = compare(&now, &base, Some("oracle/bnb"), 0.25, 0.0, 0.0);
+        assert!(outcome.passed());
+        let names: Vec<&str> = outcome.deltas.iter().map(|d| d.name.as_str()).collect();
+        assert_eq!(names, vec!["oracle/bnb/k5"]);
+
+        // A selected bench that did not run is still missing.
+        let empty = report(&[]);
+        let outcome = compare(&empty, &base, Some("oracle/bnb"), 0.25, 0.0, 0.0);
+        let kinds: Vec<DeltaKind> = outcome.deltas.iter().map(|d| d.kind).collect();
+        assert_eq!(kinds, vec![DeltaKind::Missing]);
     }
 
     #[test]
@@ -316,38 +340,38 @@ mod tests {
         let base = report(&[("a", 100, 1000)]);
         let mut now = report(&[("a", 100, 1000)]);
         now.batch_scaling = 0.7;
-        let outcome = compare(&now, &base, 0.25, 0.9, 0.0);
+        let outcome = compare(&now, &base, None, 0.25, 0.9, 0.0);
         assert!(!outcome.passed());
         assert_eq!(
             outcome.failures().next().unwrap().kind,
             DeltaKind::BelowFloor
         );
         now.batch_scaling = 3.4;
-        assert!(compare(&now, &base, 0.25, 3.0, 0.0).passed());
+        assert!(compare(&now, &base, None, 0.25, 3.0, 0.0).passed());
     }
 
     #[test]
     fn oracle_gap_above_ceiling_fails_below_passes() {
         let base = report(&[("a", 100, 1000)]);
         let mut now = report(&[("a", 100, 1000)]);
-        now.oracle_gap_hinted = 1.3;
-        let outcome = compare(&now, &base, 0.25, 0.0, crate::ORACLE_GAP_CEILING);
+        now.oracle_gap = 1.3;
+        let outcome = compare(&now, &base, None, 0.25, 0.0, crate::ORACLE_GAP_CEILING);
         assert!(!outcome.passed());
         assert_eq!(
             outcome.failures().next().unwrap().kind,
             DeltaKind::AboveCeiling
         );
-        now.oracle_gap_hinted = 1.05;
-        assert!(compare(&now, &base, 0.25, 0.0, crate::ORACLE_GAP_CEILING).passed());
+        now.oracle_gap = 1.05;
+        assert!(compare(&now, &base, None, 0.25, 0.0, crate::ORACLE_GAP_CEILING).passed());
     }
 
     #[test]
     fn ceiling_is_skipped_when_oracle_benches_were_filtered_out() {
-        // oracle_gap_hinted stays 0 when the oracle family did not run;
+        // oracle_gap stays 0 when the oracle family did not run;
         // a filtered run must not trip the ceiling.
         let base = report(&[("a", 100, 1000)]);
         let now = report(&[("a", 100, 1000)]);
-        assert!(compare(&now, &base, 0.25, 0.0, crate::ORACLE_GAP_CEILING).passed());
+        assert!(compare(&now, &base, None, 0.25, 0.0, crate::ORACLE_GAP_CEILING).passed());
     }
 
     #[test]
@@ -356,7 +380,7 @@ mod tests {
         // filtered run must not trip the floor.
         let base = report(&[("a", 100, 1000)]);
         let now = report(&[("a", 100, 1000)]);
-        assert!(compare(&now, &base, 0.25, 3.0, 0.0).passed());
+        assert!(compare(&now, &base, None, 0.25, 3.0, 0.0).passed());
     }
 
     #[test]
@@ -374,9 +398,9 @@ mod tests {
         base.serve_p99_us = 2000.0;
         let mut now = base.clone();
         now.serve_p99_us = 2400.0; // +20%: inside a 25% tolerance
-        assert!(compare(&now, &base, 0.25, 0.0, 0.0).passed());
+        assert!(compare(&now, &base, None, 0.25, 0.0, 0.0).passed());
         now.serve_p99_us = 2600.0; // +30%: out
-        let outcome = compare(&now, &base, 0.25, 0.0, 0.0);
+        let outcome = compare(&now, &base, None, 0.25, 0.0, 0.0);
         assert!(!outcome.passed());
         let failure = outcome.failures().next().unwrap();
         assert_eq!(failure.kind, DeltaKind::Regressed);
@@ -391,12 +415,12 @@ mod tests {
         let mut now = report(&[("a", 100, 1000)]);
         now.serve_p50_us = 900.0;
         now.serve_p99_us = 9000.0;
-        assert!(compare(&now, &base, 0.25, 0.0, 0.0).passed());
+        assert!(compare(&now, &base, None, 0.25, 0.0, 0.0).passed());
         base.serve_p50_us = 100.0;
         base.serve_p99_us = 100.0;
         now.serve_p50_us = 0.0;
         now.serve_p99_us = 0.0;
-        assert!(compare(&now, &base, 0.25, 0.0, 0.0).passed());
+        assert!(compare(&now, &base, None, 0.25, 0.0, 0.0).passed());
     }
 
     #[test]
@@ -405,6 +429,6 @@ mod tests {
         let base = report(&[("a", 100, 1000)]);
         let mut scaled = report(&[("a", 100, 10_000)]);
         scaled.benches[0].iters = 100;
-        assert!(compare(&scaled, &base, 0.01, 0.0, 0.0).passed());
+        assert!(compare(&scaled, &base, None, 0.01, 0.0, 0.0).passed());
     }
 }

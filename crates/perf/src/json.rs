@@ -23,10 +23,7 @@ pub fn to_json(report: &Report) -> String {
         "  \"batch_scaling\": {:.3},\n",
         report.batch_scaling
     ));
-    out.push_str(&format!(
-        "  \"oracle_gap_hinted\": {:.3},\n",
-        report.oracle_gap_hinted
-    ));
+    out.push_str(&format!("  \"oracle_gap\": {:.3},\n", report.oracle_gap));
     out.push_str(&format!(
         "  \"serve_p50_us\": {:.3},\n",
         report.serve_p50_us
@@ -68,7 +65,7 @@ impl Report {
         let top = object(&top, "top level")?;
         let schema = get_u64(top, "schema")? as u32;
         // Schema 4 added `serve_p50_us`/`serve_p99_us` and the
-        // `serve/load/*` family (schema 3 added `oracle_gap_hinted` and
+        // `serve/load/*` family (schema 3 added the oracle gap figure and
         // the `oracle/bnb/*` family; schema 2 added `batch_scaling` and
         // the w8/w16 engine benches); older baselines predate those
         // gates and must be regenerated, not silently compared against.
@@ -101,7 +98,7 @@ impl Report {
             benches,
             checker_speedup: get_f64(top, "checker_speedup")?,
             batch_scaling: get_f64(top, "batch_scaling")?,
-            oracle_gap_hinted: get_f64(top, "oracle_gap_hinted")?,
+            oracle_gap: get_f64(top, "oracle_gap")?,
             serve_p50_us: get_f64(top, "serve_p50_us")?,
             serve_p99_us: get_f64(top, "serve_p99_us")?,
         })
@@ -159,7 +156,7 @@ mod tests {
             ],
             checker_speedup: 2.5,
             batch_scaling: 3.2,
-            oracle_gap_hinted: 1.04,
+            oracle_gap: 1.04,
             serve_p50_us: 850.0,
             serve_p99_us: 2400.0,
         }

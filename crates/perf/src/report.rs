@@ -35,7 +35,7 @@ pub fn render_table(report: &Report) -> String {
         ));
     }
     out.push_str(&format!(
-        "\nseed {:#x} · checker speedup (pointer-chased ÷ hinted): {:.2}x\n",
+        "\nseed {:#x} · checker speedup (pointer-chased ÷ arena): {:.2}x\n",
         report.seed, report.checker_speedup
     ));
     out.push_str(&format!(
@@ -43,8 +43,8 @@ pub fn render_table(report: &Report) -> String {
         report.batch_scaling
     ));
     out.push_str(&format!(
-        "hinted optimality gap (hinted ÷ oracle cycles): {:.3}\n",
-        report.oracle_gap_hinted
+        "optimality gap (list ÷ oracle cycles): {:.3}\n",
+        report.oracle_gap
     ));
     out.push_str(&format!(
         "serve latency (closed-loop pipelined, k5): p50 {:.0}us · p99 {:.0}us\n",
@@ -126,7 +126,7 @@ mod tests {
             }],
             checker_speedup: 1.75,
             batch_scaling: 3.12,
-            oracle_gap_hinted: 1.042,
+            oracle_gap: 1.042,
             serve_p50_us: 850.0,
             serve_p99_us: 2412.0,
         };
@@ -155,11 +155,11 @@ mod tests {
             }],
             checker_speedup: 0.0,
             batch_scaling: 0.0,
-            oracle_gap_hinted: 0.0,
+            oracle_gap: 0.0,
             serve_p50_us: 0.0,
             serve_p99_us: 0.0,
         };
-        let outcome = compare(&mk(2000), &mk(1000), 0.25, 0.0, 0.0);
+        let outcome = compare(&mk(2000), &mk(1000), None, 0.25, 0.0, 0.0);
         let rendered = render_deltas(&outcome);
         assert!(rendered.contains("REGRESSED"));
         assert!(rendered.contains("+100.0%"));

@@ -12,11 +12,10 @@ use mdes_machines::{Machine, BUNDLED};
 use mdes_perf::Report;
 
 /// Families with one bench per bundled description.
-const PER_MACHINE: [&str; 6] = [
+const PER_MACHINE: [&str; 5] = [
     "checker/scalar/",
     "checker/bitvector/",
     "sched/list/",
-    "sched/list_hinted/",
     "analyze/lint/",
     "oracle/bnb/",
 ];

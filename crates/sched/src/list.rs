@@ -11,7 +11,7 @@
 //! supplying a different compiled MDES, which is the portability claim of
 //! the two-tier model.
 
-use mdes_core::{Checker, Choice, CompiledMdes, OptionHints, RuMap};
+use mdes_core::{Checker, Choice, CompiledMdes, RuMap};
 
 use crate::depgraph::DepGraph;
 use crate::operation::Block;
@@ -124,9 +124,8 @@ impl Schedule {
 /// the engine gives each *worker* one scratch that persists across all
 /// jobs it executes, so the per-job cost drops to resets instead of
 /// allocations: the RU map keeps its grown cycle window (`RuMap::clear`
-/// zeroes occupancy without shrinking), the solver vectors keep their
-/// capacity, and the hint table (when hinting is on) keeps its
-/// allocation while being cleared back to the fresh state.
+/// zeroes occupancy without shrinking) and the solver vectors keep their
+/// capacity.
 ///
 /// Every `schedule*_reusing` entry point resets all of this **on
 /// entry**, so a scratch left in an arbitrary state — including by a
@@ -141,7 +140,6 @@ pub struct SchedScratch {
     unscheduled_preds: Vec<usize>,
     ready_time: Vec<i32>,
     order: Vec<usize>,
-    hints: Option<OptionHints>,
 }
 
 impl SchedScratch {
@@ -171,7 +169,6 @@ pub enum Priority {
 pub struct ListScheduler<'a> {
     mdes: &'a CompiledMdes,
     priority: Priority,
-    hints: bool,
 }
 
 impl<'a> ListScheduler<'a> {
@@ -181,25 +178,12 @@ impl<'a> ListScheduler<'a> {
         ListScheduler {
             mdes,
             priority: Priority::Height,
-            hints: false,
         }
     }
 
     /// Selects a different priority function.
     pub fn with_priority(mut self, priority: Priority) -> ListScheduler<'a> {
         self.priority = priority;
-        self
-    }
-
-    /// Enables hint-first option ordering: the checker probes each
-    /// OR-tree's most-recently-successful option before falling back to
-    /// the priority scan.  Hint state is owned by each `schedule*` call,
-    /// so the same block always yields the same schedule — but because a
-    /// lower-priority option can win when the hinted one matches first,
-    /// hinted schedules may pick different options than the paper's
-    /// strict-priority accounting.  Leave off for paper reproduction.
-    pub fn with_hints(mut self, hints: bool) -> ListScheduler<'a> {
-        self.hints = hints;
         self
     }
 
@@ -317,16 +301,14 @@ impl<'a> ListScheduler<'a> {
 
         // Reset every piece of borrowed state on entry: a cleared RU map
         // is observationally a fresh one (the window placement is not a
-        // contract surface), and cleared hint state is exactly what a
-        // fresh run starts from — schedules depend only on the block,
-        // never on what was scheduled before.
+        // contract surface), so schedules depend only on the block, never
+        // on what was scheduled before.
         let SchedScratch {
             ru,
             placed,
             unscheduled_preds,
             ready_time,
             order,
-            hints: hint_slot,
         } = scratch;
         ru.clear();
         placed.clear();
@@ -335,13 +317,6 @@ impl<'a> ListScheduler<'a> {
         unscheduled_preds.extend(graph.preds.iter().map(Vec::len));
         ready_time.clear();
         ready_time.resize(n, 0);
-        let hints = if self.hints {
-            let hints = hint_slot.get_or_insert_with(|| OptionHints::new(self.mdes));
-            hints.reset_for(self.mdes);
-            Some(hints)
-        } else {
-            None
-        };
 
         let mut attempts: Vec<u32> = vec![0; n];
         let mut remaining = n;
@@ -356,7 +331,6 @@ impl<'a> ListScheduler<'a> {
 
         self.priority_order_into(graph, &heights, order);
 
-        let mut hints = hints;
         while remaining > 0 {
             assert!(
                 cycle <= limit,
@@ -368,11 +342,7 @@ impl<'a> ListScheduler<'a> {
                 }
                 let class = block.ops[op].class;
                 attempts[op] += 1;
-                let choice = match hints.as_deref_mut() {
-                    Some(h) => checker.try_reserve_hinted(ru, class, cycle, stats, h),
-                    None => checker.try_reserve(ru, class, cycle, stats),
-                };
-                if let Some(choice) = choice {
+                if let Some(choice) = checker.try_reserve(ru, class, cycle, stats) {
                     stats.count_operation();
                     placed[op] = Some(ScheduledOp { cycle, choice });
                     remaining -= 1;

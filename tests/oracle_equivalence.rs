@@ -62,13 +62,12 @@ proptest! {
     fn list_scheduler_never_beats_the_oracle(
         machine_index in 0usize..24,
         region_seed in 0u64..1024,
-        hinted in any::<bool>(),
     ) {
         let machine = fleet_machine(0xF1EE7, machine_index);
         let mdes = CompiledMdes::compile(&machine.spec, UsageEncoding::BitVector).unwrap();
         let config = RegionConfig::new(2).with_mean_ops(4).with_seed(region_seed);
         let oracle = OracleScheduler::new(&mdes);
-        let scheduler = ListScheduler::new(&mdes).with_hints(hinted);
+        let scheduler = ListScheduler::new(&mdes);
         for block in &generate_regions(&machine.spec, &config).blocks {
             let mut stats = CheckStats::new();
             let outcome = oracle.schedule(block, &mut stats).unwrap();
